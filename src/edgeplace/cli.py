@@ -21,7 +21,7 @@ from .fileio import (
     write_instance,
 )
 from .generate import GenSpec, generate
-from .harness import DEFAULT_CAPACITIES, SweepSpec, aggregate_rows, run_sweep
+from .harness import DEFAULT_CAPACITIES, SweepSpec, aggregate_rows, check_jobs, run_sweep
 from .model import GridSpec
 from .oracle import enumerate_assignments
 from .pipeline import ALGORITHMS, SolverConfig, solve
@@ -83,6 +83,13 @@ def cmd_gen(args) -> int:
     write_instance(inst, out)
     print(f"wrote {out} ({inst.n_cells} cells, {inst.n_candidates} candidates)")
     return 0
+
+
+def _jobs_arg(text: str) -> int:
+    try:
+        return check_jobs(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _parse_epsilon(text: str) -> float:
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--kappa", type=float, default=1e-4)
     p.add_argument("--epsilon", default="inf")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_jobs_arg, default=1, help="parallel worker processes")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_sweep)
 

@@ -132,6 +132,15 @@ def _parse_floats(reader: _LineReader, count: int) -> list[float]:
         raise ParseError(reader.line_no, f"bad number in {line!r}") from None
 
 
+def _check_finite(rows: np.ndarray, first_line: int, section: str) -> None:
+    """ParseError naming the line of the first row (rows are consecutive
+    lines from ``first_line``) that holds a non-finite value."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.reshape(len(rows), -1).all(axis=1))[0])
+        raise ParseError(first_line + row, f"non-finite value in {section}")
+
+
 def read_instance(path) -> Instance:
     r = _LineReader(path)
     header = r.next("edgeplace-instance")
@@ -160,10 +169,14 @@ def read_instance(path) -> Instance:
         grid = GridSpec(int(parts[1]), int(parts[2]), float(parts[3]), (float(parts[4]), float(parts[5])))
     r.next("cell_coords")
     cells = np.array([_parse_floats(r, 2) for _ in range(n_cells)])
+    _check_finite(cells, r.line_no - n_cells + 1, "cell_coords")
     r.next("candidate_coords")
     cands = np.array([_parse_floats(r, 2) for _ in range(n_candidates)])
+    _check_finite(cands, r.line_no - n_candidates + 1, "candidate_coords")
     r.next("workload")
+    first_triple = r.line_no + 1
     w = np.zeros((n_cells, n_cells))
+    values = []
     while True:
         line = r.next()
         if line in ("fronthaul", "end"):
@@ -179,9 +192,12 @@ def read_instance(path) -> Instance:
             raise SchemaError(f"workload triple ({i}, {j}) out of range for {n_cells} cells")
         w[i, j] = val
         w[j, i] = val
+        values.append(val)
+    _check_finite(np.array(values), first_triple, "workload")
     fronthaul = None
     if line == "fronthaul":
         fronthaul = np.array([_parse_floats(r, n_candidates) for _ in range(n_cells)])
+        _check_finite(fronthaul, r.line_no - n_cells + 1, "fronthaul")
         r.next("end")
     try:
         return Instance(cells, cands, w, n_servers, capacity, fronthaul=fronthaul, grid=grid)

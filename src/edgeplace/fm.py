@@ -17,6 +17,13 @@ pass is rolled back and the operation stops.
 ``cost_descent`` applies ``move_cells`` across all server pairs in ascending
 order, committing a result only when it lowers the global cost and keeps the
 spread under a caller-supplied cap, until a full sweep commits nothing.
+
+``move_cells(l0, l1)`` is a pure function of the workload, the capacity and
+the two cellsets, so ``cost_descent`` memoises its result per pair, keyed by
+per-location version counters that each commit bumps: a pair whose two
+cellsets are unchanged since its last call replays the stored result (no-op,
+or the new cellsets) without calling ``move_cells`` again. The global cost and
+spread comparisons read every server, so they are re-checked on every replay.
 """
 from __future__ import annotations
 
@@ -122,30 +129,28 @@ class PartitionState:
         other_load = np.where(self.side, self.load_a, self.load_b)
         new_own = own_load - self.diag - self.own_off
         new_other = other_load + self.diag + self.other
-        cut_gain = self.other - self.own_off
-        overflow = lambda x: np.maximum(x - capacity, 0.0)
-        capacity_gain = (
-            overflow(own_load) + overflow(other_load) - overflow(new_own) - overflow(new_other)
+        # Overflow of the current loads is the same for every position.
+        base = max(self.load_a - capacity, 0.0) + max(self.load_b - capacity, 0.0)
+        gain = (self.other - self.own_off) + (
+            (base - np.maximum(new_own - capacity, 0.0)) - np.maximum(new_other - capacity, 0.0)
         )
         eligible = np.maximum(new_own, new_other) <= max(capacity, self.load_a, self.load_b)
-        return cut_gain + capacity_gain, eligible
+        return gain, eligible
 
     def apply_move(self, pos: int, gain: float) -> None:
         """Move the cell at ``pos`` across, update sums and loads, log the move."""
         old_side = bool(self.side[pos])
-        new_own = (self.load_b if old_side else self.load_a) - self.diag[pos] - self.own_off[pos]
-        new_other = (self.load_a if old_side else self.load_b) + self.diag[pos] + self.other[pos]
-        col = self.weights[:, pos].copy()
-        col[pos] = 0.0
-        old_side_mask = self.side == old_side
-        old_side_mask[pos] = False
-        dest_side_mask = ~old_side_mask
-        dest_side_mask[pos] = False
-        self.own_off[old_side_mask] -= col[old_side_mask]
-        self.other[old_side_mask] += col[old_side_mask]
-        self.own_off[dest_side_mask] += col[dest_side_mask]
-        self.other[dest_side_mask] -= col[dest_side_mask]
-        self.own_off[pos], self.other[pos] = self.other[pos], self.own_off[pos]
+        own_off, other = self.own_off[pos], self.other[pos]
+        new_own = (self.load_b if old_side else self.load_a) - self.diag[pos] - own_off
+        new_other = (self.load_a if old_side else self.load_b) + self.diag[pos] + other
+        # The moved cell's weight leaves the own sums of its old side and
+        # joins those of its new side; ``weights`` is symmetric, so its row is
+        # its column. Negation is exact, so one signed update reproduces the
+        # separate subtract/add updates bit for bit.
+        signed = self.weights[pos] * np.where(self.side == old_side, -1.0, 1.0)
+        self.own_off += signed
+        self.other -= signed
+        self.own_off[pos], self.other[pos] = other, own_off
         self.side[pos] = not old_side
         if old_side:
             self.load_b, self.load_a = new_own, new_other
@@ -170,13 +175,13 @@ def vertex_gain(state: PartitionState, capacity: float, cell: int) -> tuple[floa
 def _select(state: PartitionState, capacity: float):
     """Highest-gain eligible unlocked position; ties go to the lowest cell id."""
     gains, eligible = state.gains(capacity)
-    mask = eligible & ~state.locked
-    if not mask.any():
+    eligible &= ~state.locked
+    masked = np.where(eligible, gains, -np.inf)
+    best = masked.max()
+    if best == -np.inf:
         return None
-    idx = np.flatnonzero(mask)
-    g = gains[idx]
-    tied = idx[g == g.max()]
-    pos = int(tied[np.argmin(state.cells[tied])])
+    tied = (masked == best).nonzero()[0]
+    pos = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(state.cells[tied])])
     return pos, float(gains[pos])
 
 
@@ -259,30 +264,54 @@ def cost_descent(
         return assignment
     capacity = instance.capacity
     w = instance.workload
+    current = assignment
+    loads = {l: cellset_load(w, current.cells_of(l)) for l in locs}
+    # Pair (l0, l1) -> (versions of l0 and l1, result of move_cells): None
+    # for a no-op, else the pair's new cellsets and their loads. A version
+    # counts the commits that changed that location's cellset.
+    version = dict.fromkeys(locs, 0)
+    memo: dict[tuple[int, int], tuple] = {}
 
-    def total_cost(a: Assignment) -> float:
+    def total_cost(changed: dict) -> float:
         served = 0.0
         for l in locs:
-            served += min(capacity, cellset_load(w, a.cells_of(l)))
+            served += min(capacity, changed[l] if l in changed else loads[l])
         return 1.0 - served
 
-    current = assignment
-    current_cost = total_cost(current)
+    current_cost = total_cost({})
     for _ in range(max_sweeps):
         committed = False
         for i, l0 in enumerate(locs):
             for l1 in locs[i + 1:]:
-                candidate = move_cells(instance, current, l0, l1)
-                if candidate == current:
+                stamp = (version[l0], version[l1])
+                hit = memo.get((l0, l1))
+                if hit is not None and hit[0] == stamp:
+                    result = hit[1]
+                else:
+                    candidate = move_cells(instance, current, l0, l1)
+                    result = None
+                    if candidate != current:
+                        cells0, cells1 = candidate.cells_of(l0), candidate.cells_of(l1)
+                        result = (cells0, cells1, cellset_load(w, cells0), cellset_load(w, cells1))
+                    memo[(l0, l1)] = (stamp, result)
+                if result is None:
                     continue
-                candidate_cost = total_cost(candidate)
+                cells0, cells1, load0, load1 = result
+                candidate_cost = total_cost({l0: load0, l1: load1})
                 if candidate_cost >= current_cost:
                     continue
+                new_map = current.cell_to_location.copy()
+                new_map[cells0] = l0
+                new_map[cells1] = l1
+                candidate = Assignment(current.server_locations, new_map)
                 candidate_spread = spread(instance, candidate)
                 if candidate_spread > spread_cap:
                     continue
                 current = candidate
                 current_cost = candidate_cost
+                loads[l0], loads[l1] = load0, load1
+                version[l0] += 1
+                version[l1] += 1
                 committed = True
                 if commit_log is not None:
                     commit_log.append((candidate_cost, candidate_spread))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .fileio import RunRow, read_instance, write_report
 from .generate import GenSpec, generate
-from .model import Instance, server_load
+from .model import Instance, check_capacity, server_load
 from .pipeline import ALGORITHMS, SolverConfig, solve
 
 DEFAULT_CAPACITIES = (0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
@@ -61,8 +61,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for c in self.capacities:
-            if not 0.0 < c < 1.0:
-                raise ValueError("capacities must lie in (0, 1)")
+            check_capacity(c)
         if self.n_location_sets < 1 or self.n_initials < 1:
             raise ValueError("seed counts must be >= 1")
         for a in self.algorithms:
@@ -214,16 +213,28 @@ def write_summary(aggregates: list[AggregateRow], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def check_jobs(jobs: int) -> int:
+    """A worker count for ``run_sweep``: at least 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def run_sweep(spec: SweepSpec, out_dir=None, jobs: int = 1) -> ExperimentReport:
-    """Run the full protocol; optionally write ``runs.csv`` and ``summary.csv``."""
+    """Run the full protocol; optionally write ``runs.csv`` and ``summary.csv``.
+
+    ``jobs`` worker processes, at most one per (location set, capacity) chunk.
+    """
+    check_jobs(jobs)
     instance = base_instance(spec)
     chunks = [
         (spec, instance, loc_seed, capacity)
         for loc_seed in range(spec.n_location_sets)
         for capacity in spec.capacities
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(c) for c in chunks]

@@ -74,6 +74,12 @@ def euclidean_fronthaul(cell_coords: np.ndarray, candidate_coords: np.ndarray) -
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def check_capacity(capacity: float) -> None:
+    """Per-server capacity is a fraction of total demand in (0, 1]."""
+    if not 0.0 < capacity <= 1.0:
+        raise ValueError("capacity must lie in (0, 1]")
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -107,9 +113,13 @@ class Instance:
             raise ValueError("cell_coords must be an (n_cells, 2) array")
         if cands.ndim != 2 or cands.shape[1] != 2:
             raise ValueError("candidate_coords must be an (n_candidates, 2) array")
+        if not (np.isfinite(cells).all() and np.isfinite(cands).all()):
+            raise ValueError("coordinates must be finite; got a non-finite value")
         n = cells.shape[0]
         if w.shape != (n, n):
             raise ValueError(f"workload must be ({n}, {n}), got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("workload entries must be finite; got a non-finite value")
         if not np.array_equal(w, w.T):
             raise ValueError("workload matrix must be symmetric")
         if (w < 0).any():
@@ -123,8 +133,7 @@ class Instance:
             raise ValueError("need 1 <= n_servers <= n_candidates")
         if self.n_servers > n:
             raise ValueError("need n_servers <= n_cells")
-        if not 0.0 < self.capacity <= 1.0:
-            raise ValueError("capacity must lie in (0, 1]")
+        check_capacity(self.capacity)
         if self.fronthaul is None:
             d = euclidean_fronthaul(cells, cands)
             d.setflags(write=False)
@@ -134,6 +143,8 @@ class Instance:
                 raise ValueError("fronthaul must be (n_cells, n_candidates)")
             if (d < 0).any():
                 raise ValueError("fronthaul entries must be non-negative")
+        if not np.isfinite(d).all():
+            raise ValueError("fronthaul entries must be finite; got a non-finite value")
         if self.grid is not None and self.grid.n_cells != n:
             raise ValueError("grid metadata does not match n_cells")
         object.__setattr__(self, "cell_coords", cells)

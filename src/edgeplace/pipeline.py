@@ -25,7 +25,6 @@ from .fm import cost_descent
 from .hungarian import relocate
 from .kmedian import SwapParams, kmedian_search
 from .model import Assignment, Instance, Objectives, objectives, spread, validate
-from .oracle import OracleBudgetError  # re-exported convenience for CLI users
 
 ALGORITHMS = ("RAND", "KMED", "FM_HUNG", "KMED_FM_HUNG")
 
@@ -42,8 +41,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
+        SwapParams(kappa=self.kappa, max_sweeps=self.max_kmedian_sweeps)  # validates both
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0 (math.inf allowed)")
         if not 0 <= self.seed < 2**64:

@@ -2,15 +2,18 @@
 
 Everything here is written as plainly as possible (explicit Python loops, no
 shared code with the package beyond the data types) so that agreement with
-the library is meaningful.
+the library is meaningful. The exception is the block of pre-optimisation FM
+code at the end, kept as bit-exact references for the optimised kernels.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 
 import numpy as np
 
-from edgeplace.model import Assignment, Instance
+from edgeplace.model import Assignment, Instance, cellset_load, spread
 
 
 def random_instance(rng, n_cells, n_candidates, n_servers, capacity=0.5, grid=None):
@@ -103,3 +106,120 @@ def brute_force_matching(entries):
             best_total = total
             best_cols = cols
     return best_total, best_cols
+
+
+# ---------------------------------------------------------------------------
+# Pre-optimisation FM kernels and descent loop, kept verbatim as bit-exact
+# references for the lean kernels and the pair-result memo in edgeplace.fm.
+
+
+def reference_gains(state, capacity):
+    """(gain, eligible) as computed before the scalar-overflow rewrite."""
+    own_load = np.where(state.side, state.load_b, state.load_a)
+    other_load = np.where(state.side, state.load_a, state.load_b)
+    new_own = own_load - state.diag - state.own_off
+    new_other = other_load + state.diag + state.other
+    cut_gain = state.other - state.own_off
+    overflow = lambda x: np.maximum(x - capacity, 0.0)
+    capacity_gain = (
+        overflow(own_load) + overflow(other_load) - overflow(new_own) - overflow(new_other)
+    )
+    eligible = np.maximum(new_own, new_other) <= max(capacity, state.load_a, state.load_b)
+    return cut_gain + capacity_gain, eligible
+
+
+def reference_apply_move(state, pos, gain):
+    """Move with four masked column updates, as before the signed update."""
+    old_side = bool(state.side[pos])
+    new_own = (state.load_b if old_side else state.load_a) - state.diag[pos] - state.own_off[pos]
+    new_other = (state.load_a if old_side else state.load_b) + state.diag[pos] + state.other[pos]
+    col = state.weights[:, pos].copy()
+    col[pos] = 0.0
+    old_side_mask = state.side == old_side
+    old_side_mask[pos] = False
+    dest_side_mask = ~old_side_mask
+    dest_side_mask[pos] = False
+    state.own_off[old_side_mask] -= col[old_side_mask]
+    state.other[old_side_mask] += col[old_side_mask]
+    state.own_off[dest_side_mask] += col[dest_side_mask]
+    state.other[dest_side_mask] -= col[dest_side_mask]
+    state.own_off[pos], state.other[pos] = state.other[pos], state.own_off[pos]
+    state.side[pos] = not old_side
+    if old_side:
+        state.load_b, state.load_a = new_own, new_other
+    else:
+        state.load_a, state.load_b = new_own, new_other
+    state.move_log.append((pos, old_side))
+    prev = state.gain_log[-1] if state.gain_log else 0.0
+    state.gain_log.append(prev + gain)
+
+
+def reference_select(state, capacity):
+    """Highest-gain eligible unlocked position via index arrays; ties to the lowest cell id."""
+    gains, eligible = reference_gains(state, capacity)
+    mask = eligible & ~state.locked
+    if not mask.any():
+        return None
+    idx = np.flatnonzero(mask)
+    g = gains[idx]
+    tied = idx[g == g.max()]
+    pos = int(tied[np.argmin(state.cells[tied])])
+    return pos, float(gains[pos])
+
+
+@contextlib.contextmanager
+def reference_fm_kernels():
+    """Run ``edgeplace.fm`` with the reference kernels patched in."""
+    from edgeplace import fm
+
+    saved = (fm.PartitionState.gains, fm.PartitionState.apply_move, fm._select)
+    fm.PartitionState.gains = reference_gains
+    fm.PartitionState.apply_move = reference_apply_move
+    fm._select = reference_select
+    try:
+        yield
+    finally:
+        fm.PartitionState.gains, fm.PartitionState.apply_move, fm._select = saved
+
+
+def reference_cost_descent(instance, assignment, spread_cap=math.inf, max_sweeps=100, commit_log=None):
+    """Pair sweep that calls ``move_cells`` for every pair and recomputes
+    every server load per candidate, as before the load cache and memo.
+    Call it inside ``reference_fm_kernels()`` for the full reference path."""
+    from edgeplace.fm import move_cells
+
+    locs = sorted(set(assignment.server_locations))
+    if len(locs) < 2:
+        return assignment
+    capacity = instance.capacity
+    w = instance.workload
+
+    def total_cost(a):
+        served = 0.0
+        for l in locs:
+            served += min(capacity, cellset_load(w, a.cells_of(l)))
+        return 1.0 - served
+
+    current = assignment
+    current_cost = total_cost(current)
+    for _ in range(max_sweeps):
+        committed = False
+        for i, l0 in enumerate(locs):
+            for l1 in locs[i + 1:]:
+                candidate = move_cells(instance, current, l0, l1)
+                if candidate == current:
+                    continue
+                candidate_cost = total_cost(candidate)
+                if candidate_cost >= current_cost:
+                    continue
+                candidate_spread = spread(instance, candidate)
+                if candidate_spread > spread_cap:
+                    continue
+                current = candidate
+                current_cost = candidate_cost
+                committed = True
+                if commit_log is not None:
+                    commit_log.append((candidate_cost, candidate_spread))
+        if not committed:
+            break
+    return current

@@ -36,6 +36,14 @@ def test_gen_missing_options_is_usage_error(tmp_path, capsys):
     assert "missing generator options" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_bad_jobs_as_usage_error(instance_file, tmp_path, capsys, jobs):
+    rc = main(["sweep", "--instance", str(instance_file), "--jobs", jobs, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_unknown_subcommand_exits_one():
     assert main(["frobnicate"]) == 1
 

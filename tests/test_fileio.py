@@ -107,6 +107,46 @@ class TestInstanceRoundTrip:
         with pytest.raises(ParseError, match="line 12"):
             read_instance(p)
 
+    @pytest.mark.parametrize(
+        "section_line, expected_line",
+        [
+            ("cell_coords\n0.0 0.0\nnan 1.0\ncandidate_coords\n0.5 0.5\n", 8),
+            ("cell_coords\n0.0 0.0\n1.0 1.0\ncandidate_coords\n0.5 inf\n", 10),
+        ],
+    )
+    def test_non_finite_coordinate_names_line(self, tmp_path, section_line, expected_line):
+        text = (
+            "edgeplace-instance 1\ncells 2\ncandidates 1\nservers 1\ncapacity 0.5\n"
+            + section_line
+            + "workload\n0 0 0.5\n0 1 0.5\nend\n"
+        )
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"line {expected_line}: non-finite"):
+            read_instance(p)
+
+    def test_non_finite_workload_names_line(self, tmp_path):
+        text = (
+            "edgeplace-instance 1\ncells 2\ncandidates 1\nservers 1\ncapacity 0.5\n"
+            "cell_coords\n0.0 0.0\n1.0 1.0\ncandidate_coords\n0.5 0.5\n"
+            "workload\n0 0 0.5\n0 1 nan\n1 1 0.5\nend\n"
+        )
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="line 13: non-finite"):
+            read_instance(p)
+
+    def test_non_finite_fronthaul_names_line(self, tmp_path):
+        text = (
+            "edgeplace-instance 1\ncells 2\ncandidates 2\nservers 1\ncapacity 0.5\n"
+            "cell_coords\n0.0 0.0\n1.0 1.0\ncandidate_coords\n0.5 0.5\n0.0 0.0\n"
+            "workload\n0 0 0.5\n0 1 0.5\nfronthaul\n0.1 0.2\n0.3 -inf\nend\n"
+        )
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="line 17: non-finite"):
+            read_instance(p)
+
     def test_inconsistent_dimensions_is_schema_error(self, tmp_path):
         text = (
             "edgeplace-instance 1\ncells 2\ncandidates 1\nservers 1\ncapacity 0.5\n"

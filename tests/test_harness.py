@@ -1,9 +1,11 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from edgeplace import harness
 from edgeplace.fileio import read_report
 from edgeplace.generate import GenSpec
 from edgeplace.harness import (
@@ -45,6 +47,45 @@ class TestSweepSpec:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
             small_spec(algorithms=("SOLVE_IT",))
+
+    def test_full_capacity_sweeps(self):
+        # Same capacity domain as Instance: (0, 1], so 1.0 is allowed.
+        rep = run_sweep(small_spec(capacities=(1.0,), n_location_sets=1, n_initials=1))
+        assert {r.capacity for r in rep.rows} == {1.0}
+        assert all(r.cost >= 0.0 for r in rep.rows)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_fewer_than_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(small_spec(), jobs=jobs)
+
+    def test_workers_capped_at_chunk_count(self, monkeypatch):
+        seen = []
+
+        class InlineExecutor:
+            """Stands in for the process pool: records its size, runs inline."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        spec = small_spec(capacities=(0.1,), n_initials=1)  # 2 location sets -> 2 chunks
+        untimed = lambda rows: [replace(r, wall_ms=0.0) for r in rows]
+        assert untimed(run_sweep(spec, jobs=64).rows) == untimed(run_sweep(spec).rows)
+        assert seen == [2]
+        run_sweep(replace(spec, n_location_sets=1), jobs=64)  # one chunk runs inline
+        assert seen == [2]
 
 
 class TestSweep:

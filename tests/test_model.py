@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,28 @@ class TestInstanceConstruction:
         w = np.array([[1.5, -0.25], [-0.25, 0.0]])
         with pytest.raises(ValueError, match="non-negative"):
             Instance(np.zeros((2, 2)), np.zeros((2, 2)), w, 1, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        w = np.array([[0.5, 0.25], [0.25, 0.25]])
+        cells = np.array([[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance(cells, np.zeros((1, 2)), w, 1, 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance(np.zeros((2, 2)), cells, w, 1, 0.5)
+
+    def test_rejects_non_finite_workload(self):
+        w = np.array([[0.5, math.nan], [math.nan, 0.5]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance(np.zeros((2, 2)), np.zeros((1, 2)), w, 1, 0.5)
+
+    def test_rejects_non_finite_fronthaul(self):
+        w = np.array([[0.5, 0.25], [0.25, 0.25]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance(np.zeros((2, 2)), np.zeros((1, 2)), w, 1, 0.5, fronthaul=[[0.0], [math.inf]])
+        # Coordinates so large that their Euclidean distance overflows.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            Instance(np.array([[0.0, 0.0], [1e300, 1e300]]), np.array([[-1e300, 0.0]]), w, 1, 0.5)
 
     def test_rejects_too_many_servers(self):
         w = np.array([[0.5, 0.25], [0.25, 0.0]])

@@ -21,9 +21,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="algorithm"):
             SolverConfig("GREEDY", seed=0)
 
-    def test_rejects_bad_kappa(self):
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_rejects_bad_kappa(self, algo):
         with pytest.raises(ValueError, match="kappa"):
-            SolverConfig("RAND", seed=0, kappa=2.0)
+            SolverConfig(algo, seed=0, kappa=2.0)
 
     def test_epsilon_inf_allowed(self):
         assert math.isinf(SolverConfig("RAND", seed=0).epsilon)
