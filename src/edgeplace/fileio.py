@@ -176,7 +176,6 @@ def read_instance(path) -> Instance:
     r.next("workload")
     first_triple = r.line_no + 1
     w = np.zeros((n_cells, n_cells))
-    values = []
     while True:
         line = r.next()
         if line in ("fronthaul", "end"):
@@ -192,8 +191,10 @@ def read_instance(path) -> Instance:
             raise SchemaError(f"workload triple ({i}, {j}) out of range for {n_cells} cells")
         w[i, j] = val
         w[j, i] = val
-        values.append(val)
-    _check_finite(np.array(values), first_triple, "workload")
+    if not np.isfinite(w).all():  # find the line only on this error path
+        for line_no in range(first_triple, r.line_no):
+            if not math.isfinite(float(r.lines[line_no - 1].split()[2])):
+                raise ParseError(line_no, "non-finite value in workload")
     fronthaul = None
     if line == "fronthaul":
         fronthaul = np.array([_parse_floats(r, n_candidates) for _ in range(n_cells)])
