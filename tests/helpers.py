@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from edgeplace import fm
 from edgeplace.model import Assignment, Instance, cellset_load, spread
 
 
@@ -170,8 +171,6 @@ def reference_select(state, capacity):
 @contextlib.contextmanager
 def reference_fm_kernels():
     """Run ``edgeplace.fm`` with the reference kernels patched in."""
-    from edgeplace import fm
-
     saved = (fm.PartitionState.gains, fm.PartitionState.apply_move, fm._select)
     fm.PartitionState.gains = reference_gains
     fm.PartitionState.apply_move = reference_apply_move
@@ -186,8 +185,6 @@ def reference_cost_descent(instance, assignment, spread_cap=math.inf, max_sweeps
     """Pair sweep that calls ``move_cells`` for every pair and recomputes
     every server load per candidate, as before the load cache and memo.
     Call it inside ``reference_fm_kernels()`` for the full reference path."""
-    from edgeplace.fm import move_cells
-
     locs = sorted(set(assignment.server_locations))
     if len(locs) < 2:
         return assignment
@@ -206,7 +203,7 @@ def reference_cost_descent(instance, assignment, spread_cap=math.inf, max_sweeps
         committed = False
         for i, l0 in enumerate(locs):
             for l1 in locs[i + 1:]:
-                candidate = move_cells(instance, current, l0, l1)
+                candidate = fm.move_cells(instance, current, l0, l1)
                 if candidate == current:
                     continue
                 candidate_cost = total_cost(candidate)

@@ -21,10 +21,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="algorithm"):
             SolverConfig("GREEDY", seed=0)
 
-    @pytest.mark.parametrize("algo", ALGORITHMS)
-    def test_rejects_bad_kappa(self, algo):
+    def test_rejects_bad_kappa(self):
         with pytest.raises(ValueError, match="kappa"):
-            SolverConfig(algo, seed=0, kappa=2.0)
+            SolverConfig("RAND", seed=0, kappa=2.0)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_rejects_bad_kappa_for_every_algorithm(self, algo):
+        with pytest.raises(ValueError, match="kappa"):
+            SolverConfig(algo, seed=0, kappa=0.0)
 
     def test_epsilon_inf_allowed(self):
         assert math.isinf(SolverConfig("RAND", seed=0).epsilon)
