@@ -7,6 +7,7 @@ Subcommands: ``gen``, ``solve``, ``sweep``, ``oracle``, ``render``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -92,17 +93,13 @@ def _jobs_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _parse_epsilon(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
-
-
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     config = SolverConfig(
         algorithm=args.algo,
         seed=args.seed,
         kappa=args.kappa,
-        epsilon=_parse_epsilon(args.epsilon),
+        epsilon=args.epsilon,
     )
     result = solve(inst, config)
     print(f"algo={args.algo} cost={result.objectives.cost!r} spread={result.objectives.spread!r}")
@@ -131,44 +128,41 @@ def sweepspec_from_args(args) -> SweepSpec:
         algorithms=tuple(args.algos.split(",")) if args.algos else ALGORITHMS,
         master_seed=args.master_seed,
         kappa=args.kappa,
-        epsilon=_parse_epsilon(args.epsilon),
+        epsilon=args.epsilon,
     )
+
+
+# GenSpec has no default for these; a config's generator spec may omit them.
+_SOURCE_DEFAULTS = {"capacity": 0.05, "seed": 0}
+
+
+def _config_fields(cls, payload, where: str) -> dict:
+    """``payload`` as keyword arguments for ``cls``; unknown keys are a usage error."""
+    if not isinstance(payload, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    unknown = sorted(set(payload) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return dict(payload)
 
 
 def _sweepspec_from_config(path: Path) -> SweepSpec:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    source = payload["source"]
+    fields = _config_fields(SweepSpec, json.loads(path.read_text(encoding="utf-8")), "sweep config")
+    source = fields.get("source")
     if isinstance(source, dict):
-        grid = None
-        if source.get("grid"):
-            g = source["grid"]
-            grid = GridSpec(g["rows"], g["cols"], g["cell_size"], tuple(g.get("origin", (0.0, 0.0))))
-        source = GenSpec(
-            n_cells=source["n_cells"],
-            n_candidates=source["n_candidates"],
-            n_servers=source["n_servers"],
-            capacity=source.get("capacity", 0.05),
-            seed=source.get("seed", 0),
-            layout=source.get("layout", "random"),
-            grid=grid,
-            workload_model=source.get("workload_model", "uniform"),
-            corr_length=source.get("corr_length"),
-            activity_sigma=source.get("activity_sigma", 1.0),
-            candidates_at_cells=source.get("candidates_at_cells", False),
-        )
-    epsilon = payload.get("epsilon")
-    fields = dict(
-        source=source,
-        n_location_sets=payload.get("n_location_sets", 10),
-        n_initials=payload.get("n_initials", 5),
-        master_seed=payload.get("master_seed", 0),
-        kappa=payload.get("kappa", 1e-4),
-        epsilon=math.inf if epsilon in (None, "inf") else float(epsilon),
-    )
-    if payload.get("capacities"):
-        fields["capacities"] = tuple(float(c) for c in payload["capacities"])
-    if payload.get("algorithms"):
-        fields["algorithms"] = tuple(payload["algorithms"])
+        source = {**_SOURCE_DEFAULTS, **_config_fields(GenSpec, source, "source")}
+        if source.get("grid") is not None:
+            grid = _config_fields(GridSpec, source["grid"], "source.grid")
+            if "origin" in grid:
+                grid["origin"] = tuple(grid["origin"])
+            source["grid"] = GridSpec(**grid)
+        fields["source"] = GenSpec(**source)
+    if "epsilon" in fields:  # a number, "inf", or null for no cap
+        fields["epsilon"] = math.inf if fields["epsilon"] is None else float(fields["epsilon"])
+    if "capacities" in fields:
+        fields["capacities"] = tuple(float(c) for c in fields["capacities"])
+    if "algorithms" in fields:
+        fields["algorithms"] = tuple(fields["algorithms"])
     return SweepSpec(**fields)
 
 
@@ -230,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGORITHMS, default="KMED_FM_HUNG")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kappa", type=float, default=1e-4)
-    p.add_argument("--epsilon", default="inf", help="spread slack for refinement ('inf' allowed)")
+    p.add_argument("--epsilon", type=float, default="inf", help="spread slack for refinement ('inf' allowed)")
     p.add_argument("--trace", action="store_true", help="print per-phase objectives")
     p.add_argument("--out", help="assignment CSV to write")
     p.set_defaults(func=cmd_solve)
@@ -245,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", help="comma-separated algorithm names")
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--kappa", type=float, default=1e-4)
-    p.add_argument("--epsilon", default="inf")
+    p.add_argument("--epsilon", type=float, default="inf")
     p.add_argument("--jobs", type=_jobs_arg, default=1, help="parallel worker processes")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_sweep)

@@ -147,26 +147,36 @@ def read_instance(path) -> Instance:
     if header.split() != ["edgeplace-instance", "1"]:
         raise ParseError(r.line_no, f"unsupported header {header!r}")
 
-    def int_field(name: str) -> int:
+    def count_field(name: str) -> int:
         line = r.next(name)
         try:
-            return int(line.split()[1])
-        except (IndexError, ValueError):
-            raise ParseError(r.line_no, f"bad {name} line {line!r}") from None
+            (value,) = map(int, line.split()[1:])
+            if value >= 0:
+                return value
+        except ValueError:
+            pass
+        raise ParseError(r.line_no, f"bad {name} line {line!r}")
 
-    n_cells = int_field("cells")
-    n_candidates = int_field("candidates")
-    n_servers = int_field("servers")
-    cap_line = r.next("capacity").split()
-    if len(cap_line) != 2:
-        raise ParseError(r.line_no, "bad capacity line")
-    capacity = float(cap_line[1])
+    n_cells = count_field("cells")
+    n_candidates = count_field("candidates")
+    n_servers = count_field("servers")
+    cap_line = r.next("capacity")
+    try:
+        (capacity,) = map(float, cap_line.split()[1:])
+    except ValueError:
+        raise ParseError(r.line_no, f"bad capacity line {cap_line!r}") from None
     grid = None
     if r.peek() is not None and r.peek().startswith("grid"):
-        parts = r.next().split()
-        if len(parts) != 6:
-            raise ParseError(r.line_no, "grid line needs rows cols cell_size ox oy")
-        grid = GridSpec(int(parts[1]), int(parts[2]), float(parts[3]), (float(parts[4]), float(parts[5])))
+        line = r.next()
+        try:
+            _, rows, cols, size, ox, oy = line.split()
+            rows, cols, size, origin = int(rows), int(cols), float(size), (float(ox), float(oy))
+        except ValueError:
+            raise ParseError(r.line_no, f"grid line needs 'rows cols cell_size ox oy', got {line!r}") from None
+        try:
+            grid = GridSpec(rows, cols, size, origin)
+        except ValueError as e:
+            raise SchemaError(f"line {r.line_no}: {e}") from None
     r.next("cell_coords")
     cells = np.array([_parse_floats(r, 2) for _ in range(n_cells)])
     _check_finite(cells, r.line_no - n_cells + 1, "cell_coords")
@@ -209,6 +219,8 @@ def read_instance(path) -> Instance:
 # ---------------------------------------------------------------------------
 # assignment format
 
+_INT64 = range(-(2**63), 2**63)  # locations are stored as int64
+
 
 def write_assignment(assignment: Assignment, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -239,6 +251,8 @@ def read_assignment(path) -> Assignment:
                 index, location = int(index), int(location)
             except ValueError:
                 raise ParseError(line_no, f"bad integers in {row!r}") from None
+            if location not in _INT64:
+                raise ParseError(line_no, f"location out of range in {row!r}")
             if kind == "server":
                 servers.append(location)
             elif kind == "cell":
@@ -373,6 +387,8 @@ def read_events(path) -> list[EventRecord]:
                 values = [float(x) for x in row]
             except ValueError:
                 raise ParseError(line_no, f"bad number in {row!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(line_no, f"non-finite value in {row!r}")
             if values[4] <= 0:
                 raise ParseError(line_no, "weight must be positive")
             out.append(EventRecord(*values, line=line_no))

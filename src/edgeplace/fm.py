@@ -34,6 +34,10 @@ import numpy as np
 
 from .model import Assignment, Instance, cellset_load, spread
 
+# Upper bound on ``cost_descent``'s pair sweeps; the descent ends earlier, at
+# the first sweep that commits nothing.
+MAX_SWEEPS = 100
+
 
 def delta_cost(workload: np.ndarray, cells_a, cells_b, capacity: float) -> float:
     """Joint cost contribution of two disjoint cellsets."""
@@ -102,12 +106,6 @@ class PartitionState:
             instance.workload, assignment.cells_of(loc_a), assignment.cells_of(loc_b)
         )
 
-    def position_of(self, cell: int) -> int:
-        pos = np.flatnonzero(self.cells == cell)
-        if pos.size != 1:
-            raise ValueError(f"cell {cell} not in this partition")
-        return int(pos[0])
-
     def recompute_sums(self) -> None:
         """Refresh per-cell side sums and the two loads from the side vector."""
         in_b = self.side.astype(float)
@@ -165,7 +163,10 @@ def vertex_gain(state: PartitionState, capacity: float, cell: int) -> tuple[floa
     """Exact delta_cost decrease if ``cell`` switched sides, and whether the
     move keeps the pair's maximum load from growing past
     ``max(capacity, load_a, load_b)``."""
-    pos = state.position_of(cell)
+    found = np.flatnonzero(state.cells == cell)
+    if found.size != 1:
+        raise ValueError(f"cell {cell} not in this partition")
+    pos = int(found[0])
     if state.locked[pos]:
         raise ValueError(f"cell {cell} is locked")
     gains, eligible = state.gains(capacity)
@@ -250,10 +251,10 @@ def cost_descent(
     instance: Instance,
     assignment: Assignment,
     spread_cap: float = math.inf,
-    max_sweeps: int = 100,
     commit_log: list | None = None,
 ) -> Assignment:
-    """Sweep server pairs with ``move_cells`` until no commit improves cost.
+    """Sweep server pairs with ``move_cells`` until no commit improves cost,
+    for at most ``MAX_SWEEPS`` sweeps.
 
     A speculative result is committed only if it strictly lowers the global
     cost and its spread stays within ``spread_cap``. Appends
@@ -273,13 +274,16 @@ def cost_descent(
     memo: dict[tuple[int, int], tuple] = {}
 
     def total_cost(changed: dict) -> float:
+        # One load at a time, in location order: model.cost_of_loads's pairwise
+        # numpy sum can differ in the last bit and flip the strict comparison
+        # below (it changes KMED_FM_HUNG results on the README's gravity sweep).
         served = 0.0
         for l in locs:
             served += min(capacity, changed[l] if l in changed else loads[l])
         return 1.0 - served
 
     current_cost = total_cost({})
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         committed = False
         for i, l0 in enumerate(locs):
             for l1 in locs[i + 1:]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, Instance
+from .model import GridSpec, Instance, euclidean_fronthaul
 
 LAYOUTS = ("random", "grid")
 WORKLOAD_MODELS = ("uniform", "gravity")
@@ -122,8 +122,7 @@ def gen_gravity(spec: GenSpec) -> Instance:
     cells = _cell_coords(spec, rng)
     cands = _candidate_coords(spec, rng, cells)
     activity = rng.lognormal(mean=0.0, sigma=spec.activity_sigma, size=spec.n_cells)
-    diff = cells[:, None, :] - cells[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = euclidean_fronthaul(cells, cells)
     if math.isinf(spec.corr_length):
         decay = np.ones_like(dist)
     else:
@@ -150,8 +149,7 @@ def generate(spec: GenSpec) -> Instance:
 
 def workload_distance_correlation(instance: Instance) -> float:
     """Pearson correlation between off-diagonal pair weight and cell distance."""
-    diff = instance.cell_coords[:, None, :] - instance.cell_coords[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = euclidean_fronthaul(instance.cell_coords, instance.cell_coords)
     iu = np.triu_indices(instance.n_cells, k=1)
     w = instance.workload[iu]
     d = dist[iu]

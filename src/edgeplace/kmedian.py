@@ -18,17 +18,13 @@ from .model import Assignment, Instance, spread
 
 @dataclass(frozen=True)
 class SwapParams:
-    """``kappa`` is the minimum relative improvement for accepting a swap;
-    ``max_sweeps`` bounds the scan restarts (default ``10 * n_candidates``)."""
+    """``kappa`` is the minimum relative improvement for accepting a swap."""
 
     kappa: float = 1e-4
-    max_sweeps: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
-        if self.max_sweeps is not None and self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
 
 
 def assign_cells(instance: Instance, locations) -> Assignment:
@@ -44,19 +40,6 @@ def assign_cells(instance: Instance, locations) -> Assignment:
     cols = np.asarray(locs)
     nearest = np.argmin(instance.fronthaul[:, cols], axis=1)  # first minimum wins
     return Assignment(tuple(locs), cols[nearest])
-
-
-def swap_locations(instance: Instance, current: Assignment, out_loc: int, in_loc: int) -> Assignment:
-    """Close ``out_loc``, open ``in_loc``, and reassign every cell to its
-    nearest location in the new set. The input assignment is not modified."""
-    locs = set(current.server_locations)
-    if out_loc not in locs:
-        raise ValueError(f"{out_loc} is not an open location")
-    if in_loc in locs:
-        raise ValueError(f"{in_loc} is already open")
-    locs.remove(out_loc)
-    locs.add(in_loc)
-    return assign_cells(instance, locs)
 
 
 def _nearest_spread(instance: Instance, cols: np.ndarray) -> float:
@@ -78,16 +61,15 @@ def kmedian_search(
     nearest-assignment spread of the new set. Returns the nearest assignment
     onto the final set, so the output spread never exceeds the input spread.
     Appends the spread after each accepted swap to ``accepted_log`` if given.
+    Restarts the scan at most ``10 * n_candidates`` times.
     """
     open_locs = sorted(set(initial.server_locations))
     if len(open_locs) != instance.n_servers:
         raise ValueError("initial assignment must open exactly n_servers locations")
     current_spread = spread(instance, initial)
-    max_sweeps = params.max_sweeps if params.max_sweeps is not None else 10 * instance.n_candidates
-    all_locs = range(instance.n_candidates)
-    for _ in range(max_sweeps):
+    for _ in range(10 * instance.n_candidates):
         accepted = False
-        closed = [l for l in all_locs if l not in set(open_locs)]
+        closed = [l for l in range(instance.n_candidates) if l not in set(open_locs)]
         for out_loc in list(open_locs):
             for in_loc in closed:
                 cols = np.array(sorted(set(open_locs) - {out_loc} | {in_loc}))

@@ -13,6 +13,7 @@ cell to one of them. The two objectives are:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,8 +51,10 @@ class GridSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
-        if not self.cell_size > 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be positive and finite")
+        if not all(math.isfinite(v) for v in self.origin):
+            raise ValueError("origin must be finite")
 
     @property
     def n_cells(self) -> int:
@@ -260,15 +263,17 @@ def server_load(instance: Instance, assignment: Assignment, location: int) -> fl
 
 def server_loads(instance: Instance, assignment: Assignment) -> np.ndarray:
     """Loads aligned with ``assignment.server_locations``."""
-    return np.array(
-        [server_load(instance, assignment, l) for l in assignment.server_locations]
-    )
+    return np.array([server_load(instance, assignment, l) for l in assignment.server_locations])
+
+
+def cost_of_loads(loads, capacity: float) -> float:
+    """One minus the capacity-capped demand served at the edge, from per-server loads."""
+    return float(1.0 - np.minimum(capacity, loads).sum())
 
 
 def cost(instance: Instance, assignment: Assignment) -> float:
     """Backhaul cost: one minus the capacity-capped demand served at the edge."""
-    loads = server_loads(instance, assignment)
-    return float(1.0 - np.minimum(instance.capacity, loads).sum())
+    return cost_of_loads(server_loads(instance, assignment), instance.capacity)
 
 
 def cost_pairwise(instance: Instance, assignment: Assignment) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, Instance, cellset_load
+from .model import Assignment, Instance, cellset_load, cost_of_loads
 
 
 class OracleBudgetError(RuntimeError):
@@ -79,10 +79,8 @@ def enumerate_assignments(instance: Instance, budget: int = 10_000_000) -> Oracl
             for i, g in enumerate(cmap):
                 groups[g].append(i)
                 spread_val += d_sub[i, g] * totals[i]
-            served = 0.0
-            for cells in groups:
-                served += min(capacity, cellset_load(w, np.array(cells, dtype=int)))
-            cost_val = 1.0 - served
+            loads = [cellset_load(w, np.array(cells, dtype=int)) for cells in groups]
+            cost_val = cost_of_loads(loads, capacity)
             if best_cost is None or cost_val < best_cost:
                 best_cost = cost_val
                 best_cost_witness = (subset, cmap)

@@ -35,13 +35,11 @@ class SolverConfig:
     seed: int
     kappa: float = 1e-4
     epsilon: float = math.inf  # allowed relative spread growth during cost refinement
-    max_kmedian_sweeps: int | None = None
-    max_descent_sweeps: int = 100
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        SwapParams(kappa=self.kappa, max_sweeps=self.max_kmedian_sweeps)  # validates both
+        SwapParams(kappa=self.kappa)  # validates kappa
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0 (math.inf allowed)")
         if not 0 <= self.seed < 2**64:
@@ -87,25 +85,14 @@ def solve(instance: Instance, config: SolverConfig) -> SolveResult:
 
     if config.algorithm in ("KMED", "KMED_FM_HUNG"):
         swap_log: list = []
-        current = kmedian_search(
-            instance,
-            current,
-            SwapParams(kappa=config.kappa, max_sweeps=config.max_kmedian_sweeps),
-            accepted_log=swap_log,
-        )
+        current = kmedian_search(instance, current, SwapParams(kappa=config.kappa), accepted_log=swap_log)
         trace.append(_record("kmedian", instance, current, swap_log))
 
     if config.algorithm in ("FM_HUNG", "KMED_FM_HUNG"):
         baseline = spread(instance, current)
         cap = math.inf if math.isinf(config.epsilon) else (1.0 + config.epsilon) * baseline
         commit_log: list = []
-        current = cost_descent(
-            instance,
-            current,
-            spread_cap=cap,
-            max_sweeps=config.max_descent_sweeps,
-            commit_log=commit_log,
-        )
+        current = cost_descent(instance, current, spread_cap=cap, commit_log=commit_log)
         trace.append(_record("refine", instance, current, commit_log))
         current = relocate(instance, current)
         trace.append(_record("relocate", instance, current))

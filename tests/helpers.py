@@ -2,8 +2,10 @@
 
 Everything here is written as plainly as possible (explicit Python loops, no
 shared code with the package beyond the data types) so that agreement with
-the library is meaningful. The exception is the block of pre-optimisation FM
-code at the end, kept as bit-exact references for the optimised kernels.
+the library is meaningful. The exceptions are ``swap_locations``, a test
+driver built on the library's ``assign_cells``, and the block of
+pre-optimisation FM code at the end, kept as bit-exact references for the
+optimised kernels.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from edgeplace import fm
+from edgeplace.kmedian import assign_cells
 from edgeplace.model import Assignment, Instance, cellset_load, spread
 
 
@@ -81,6 +84,20 @@ def loop_delta_cost(workload, cells_a, cells_b, capacity):
     load_a = sum(workload[i, j] for i in cells_a for j in cells_a if i <= j)
     load_b = sum(workload[i, j] for i in cells_b for j in cells_b if i <= j)
     return cross + max(0.0, load_a - capacity) + max(0.0, load_b - capacity)
+
+
+def swap_locations(instance, current, out_loc, in_loc):
+    """Close ``out_loc``, open ``in_loc``, and reassign every cell to its
+    nearest location in the new set (the single swap ``kmedian_search``
+    evaluates). The input assignment is not modified."""
+    locs = set(current.server_locations)
+    if out_loc not in locs:
+        raise ValueError(f"{out_loc} is not an open location")
+    if in_loc in locs:
+        raise ValueError(f"{in_loc} is already open")
+    locs.remove(out_loc)
+    locs.add(in_loc)
+    return assign_cells(instance, locs)
 
 
 def all_assignments(instance):

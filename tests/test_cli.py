@@ -120,6 +120,28 @@ def test_sweep_from_config_file(instance_file, tmp_path):
     assert len(read_report(out_dir / "runs.csv")) == 1
 
 
+def test_sweep_config_generator_defaults_and_unknown_key(tmp_path, capsys):
+    config = {
+        "source": {"n_cells": 6, "n_candidates": 4, "n_servers": 2,
+                   "grid": {"rows": 2, "cols": 3, "cell_size": 0.5, "origin": [1.0, 2.0]}},
+        "capacities": [0.5],
+        "n_location_sets": 1,
+        "n_initials": 1,
+        "algorithms": ["KMED"],
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(read_report(tmp_path / "out" / "runs.csv")) == 1
+
+    config["n_initial"] = 3  # typo of n_initials
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "n_initial" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path, capsys):
     path = tmp_path / "small.txt"
     rc = main(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgeplace.fileio import (
     EventRecord,
@@ -145,6 +147,28 @@ class TestInstanceRoundTrip:
         p = tmp_path / "bad.txt"
         p.write_text(text)
         with pytest.raises(ParseError, match="line 17: non-finite"):
+            read_instance(p)
+
+    HEADER = "edgeplace-instance 1\ncells 2\ncandidates 1\nservers 1\n"
+    BODY = "cell_coords\n0.0 0.0\n1.0 1.0\ncandidate_coords\n0.5 0.5\nworkload\n0 0 0.5\n1 1 0.5\nend\n"
+
+    def test_bad_capacity_names_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(self.HEADER + "capacity abc\n" + self.BODY)
+        with pytest.raises(ParseError, match="line 5: bad capacity"):
+            read_instance(p)
+
+    def test_non_integer_grid_field_names_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(self.HEADER + "capacity 0.5\ngrid a 2 0.5 0 0\n" + self.BODY)
+        with pytest.raises(ParseError, match="line 6: grid line"):
+            read_instance(p)
+
+    @pytest.mark.parametrize("grid", ["grid 0 2 0.5 0 0", "grid 1 2 0.5 nan 0", "grid 1 2 inf 0 0"])
+    def test_rejected_grid_is_schema_error(self, tmp_path, grid):
+        p = tmp_path / "bad.txt"
+        p.write_text(self.HEADER + "capacity 0.5\n" + grid + "\n" + self.BODY)
+        with pytest.raises(SchemaError, match="line 6"):
             read_instance(p)
 
     def test_inconsistent_dimensions_is_schema_error(self, tmp_path):
@@ -322,3 +346,105 @@ class TestEvents:
         inst = instance_from_events(records, grid, 2, 0.3, cands)
         assert inst.n_cells == 9
         assert inst.grid == grid
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed text may only raise the readers' named errors
+
+VALID_INSTANCE = (
+    "edgeplace-instance 1\ncells 2\ncandidates 2\nservers 1\ncapacity 0.5\n"
+    "grid 1 2 0.5 0.0 0.0\ncell_coords\n0.25 0.25\n0.75 0.25\n"
+    "candidate_coords\n0.0 0.0\n1.0 0.0\nworkload\n0 0 0.25\n0 1 0.5\n1 1 0.25\n"
+    "fronthaul\n0.1 0.2\n0.3 0.4\nend\n"
+)
+VALID_ASSIGNMENT = "kind,index,location\nserver,0,1\ncell,0,1\ncell,1,1\n"
+VALID_EVENTS = "ax,ay,bx,by,weight\n0.1,0.2,0.3,0.4,1.5\n0.5,0.6,0.7,0.8,2.0\n"
+
+TOKENS = st.sampled_from(
+    ["", " ", "0", "1", "-1", "2", "0.5", "1e999", "-1e999", "nan", "inf", "-inf", "abc",
+     "9" * 30, ",", "\"", "end", "workload", "fronthaul", "grid", "cells", "server", "cell"]
+)
+LINES = st.one_of(
+    st.lists(TOKENS, max_size=6).map(" ".join),
+    st.lists(TOKENS, max_size=6).map(",".join),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def mutated(draw, valid: str) -> str:
+    """``valid`` with a few lines replaced, inserted, deleted or token-edited."""
+    lines = valid.split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "token", "token", "token"]))
+        if op == "replace":
+            lines[i] = draw(LINES)
+        elif op == "insert":
+            lines.insert(i, draw(LINES))
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "token":
+            sep = "," if "," in lines[i] else " "
+            parts = lines[i].split(sep)
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(TOKENS)
+            lines[i] = sep.join(parts)
+    return "\n".join(lines)
+
+
+def fuzz_text(valid: str):
+    return st.one_of(mutated(valid), st.text(max_size=200))
+
+
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzzFindings:
+    """Inputs that once escaped as bare ``ValueError``/``OverflowError``."""
+
+    def test_negative_count_names_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(VALID_INSTANCE.replace("cells 2", "cells -1"))
+        with pytest.raises(ParseError, match="line 2: bad cells"):
+            read_instance(p)
+
+    def test_huge_location_names_line(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text(VALID_ASSIGNMENT.replace("cell,0,1", "cell,0," + "9" * 30))
+        with pytest.raises(ParseError, match="line 3"):
+            read_assignment(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_event_names_line(self, tmp_path, value):
+        p = tmp_path / "events.csv"
+        p.write_text(VALID_EVENTS.replace("1.5", value).replace("0.7", value))
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            read_events(p)
+
+
+class TestReaderFuzz:
+    """On short malformed texts a reader raises only ``ParseError`` or ``SchemaError``."""
+
+    @staticmethod
+    def read(reader, text, tmp_path):
+        p = tmp_path / "fuzz.txt"
+        p.write_text(text, encoding="utf-8")
+        try:
+            reader(p)
+        except (ParseError, SchemaError):
+            pass
+
+    @FUZZ
+    @given(text=fuzz_text(VALID_INSTANCE))
+    def test_read_instance(self, tmp_path, text):
+        self.read(read_instance, text, tmp_path)
+
+    @FUZZ
+    @given(text=fuzz_text(VALID_ASSIGNMENT))
+    def test_read_assignment(self, tmp_path, text):
+        self.read(read_assignment, text, tmp_path)
+
+    @FUZZ
+    @given(text=fuzz_text(VALID_EVENTS))
+    def test_read_events(self, tmp_path, text):
+        self.read(read_events, text, tmp_path)

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from edgeplace.kmedian import SwapParams, assign_cells, kmedian_search, swap_locations
+from edgeplace.kmedian import SwapParams, assign_cells, kmedian_search
 from edgeplace.model import Assignment, Instance, spread, validate
 
-from helpers import random_assignment, random_instance
+from helpers import random_assignment, random_instance, swap_locations
 
 
 class TestSwapParams:

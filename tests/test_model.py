@@ -315,3 +315,19 @@ def test_grid_spec_centers_and_bounds():
     assert np.allclose(centers[0], [1.25, 2.25])
     assert np.allclose(centers[5], [2.25, 2.75])  # row 1, col 2
     assert g.bounds() == (1.0, 2.0, 2.5, 3.0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 2, 0.1, (math.nan, 0.0)),
+        (2, 2, 0.1, (0.0, -math.inf)),
+        (2, 2, math.inf),
+        (2, 2, math.nan),
+        (2, 2, 0.0),
+        (0, 2, 0.1),
+    ],
+)
+def test_grid_spec_rejects_bad_values(args):
+    with pytest.raises(ValueError):
+        GridSpec(*args)
