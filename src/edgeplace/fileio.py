@@ -37,6 +37,7 @@ Event CSV: header ``ax,ay,bx,by,weight``; one undirected record per line.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,32 @@ class SchemaError(ValueError):
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _read_text(path) -> str:
+    """The file's text; ParseError naming the line of a byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(data.count(b"\n", 0, e.start) + 1, "not UTF-8 text") from None
+
+
+def _csv_rows(path, columns: tuple[str, ...], name: str):
+    """Yield ``(line_no, row)`` for every data row of a CSV file headed by
+    ``columns``; ParseError naming the line for a bad header, a wrong field
+    count or a field the csv module rejects."""
+    rows = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(rows, None)
+        if header != list(columns):
+            raise ParseError(1, f"bad {name} header {header!r}")
+        for line_no, row in enumerate(rows, start=2):
+            if len(row) != len(columns):
+                raise ParseError(line_no, f"expected {len(columns)} fields, got {len(row)}")
+            yield line_no, row
+    except csv.Error as e:
+        raise ParseError(rows.line_num, str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +128,7 @@ def write_instance(instance: Instance, path) -> None:
 
 class _LineReader:
     def __init__(self, path):
-        self.lines = Path(path).read_text(encoding="utf-8").splitlines()
+        self.lines = _read_text(path).splitlines()
         self.pos = 0
 
     @property
@@ -235,30 +262,20 @@ def write_assignment(assignment: Assignment, path) -> None:
 def read_assignment(path) -> Assignment:
     servers: list[int] = []
     cells: dict[int, int] = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    for line_no, row in _csv_rows(path, ("kind", "index", "location"), "assignment"):
+        kind, index, location = row
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty assignment file") from None
-        if header != ["kind", "index", "location"]:
-            raise ParseError(1, f"bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
-            kind, index, location = row
-            try:
-                index, location = int(index), int(location)
-            except ValueError:
-                raise ParseError(line_no, f"bad integers in {row!r}") from None
-            if location not in _INT64:
-                raise ParseError(line_no, f"location out of range in {row!r}")
-            if kind == "server":
-                servers.append(location)
-            elif kind == "cell":
-                cells[index] = location
-            else:
-                raise ParseError(line_no, f"unknown kind {kind!r}")
+            index, location = int(index), int(location)
+        except ValueError:
+            raise ParseError(line_no, f"bad integers in {row!r}") from None
+        if location not in _INT64:
+            raise ParseError(line_no, f"location out of range in {row!r}")
+        if kind == "server":
+            servers.append(location)
+        elif kind == "cell":
+            cells[index] = location
+        else:
+            raise ParseError(line_no, f"unknown kind {kind!r}")
     if sorted(cells) != list(range(len(cells))):
         raise SchemaError("cell rows must cover 0..n_cells-1 exactly once")
     cmap = np.array([cells[i] for i in range(len(cells))], dtype=np.int64)
@@ -318,30 +335,23 @@ def write_report(rows: Iterable[RunRow], path) -> None:
 
 def read_report(path) -> list[RunRow]:
     out = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(REPORT_COLUMNS):
-            raise ParseError(1, f"bad report header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(REPORT_COLUMNS):
-                raise ParseError(line_no, f"expected {len(REPORT_COLUMNS)} fields")
-            try:
-                out.append(
-                    RunRow(
-                        algo=row[0],
-                        capacity=float(row[1]),
-                        loc_seed=int(row[2]),
-                        init_seed=int(row[3]),
-                        cost=float(row[4]),
-                        spread=float(row[5]),
-                        max_load=float(row[6]),
-                        min_load=float(row[7]),
-                        wall_ms=float(row[8]),
-                    )
+    for line_no, row in _csv_rows(path, REPORT_COLUMNS, "report"):
+        try:
+            out.append(
+                RunRow(
+                    algo=row[0],
+                    capacity=float(row[1]),
+                    loc_seed=int(row[2]),
+                    init_seed=int(row[3]),
+                    cost=float(row[4]),
+                    spread=float(row[5]),
+                    max_load=float(row[6]),
+                    min_load=float(row[7]),
+                    wall_ms=float(row[8]),
                 )
-            except ValueError:
-                raise ParseError(line_no, f"bad values in {row!r}") from None
+            )
+        except ValueError:
+            raise ParseError(line_no, f"bad values in {row!r}") from None
     return out
 
 
@@ -361,6 +371,8 @@ class EventRecord:
     line: int | None = None  # source line when read from a file
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.ax, self.ay, self.bx, self.by, self.weight))):
+            raise ValueError("non-finite value in event record")
         if not self.weight > 0:
             raise ValueError("weight must be positive")
 
@@ -375,23 +387,15 @@ def write_events(records: Iterable[EventRecord], path) -> None:
 
 def read_events(path) -> list[EventRecord]:
     out = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["ax", "ay", "bx", "by", "weight"]:
-            raise ParseError(1, f"bad events header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ParseError(line_no, f"expected 5 fields, got {len(row)}")
-            try:
-                values = [float(x) for x in row]
-            except ValueError:
-                raise ParseError(line_no, f"bad number in {row!r}") from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError(line_no, f"non-finite value in {row!r}")
-            if values[4] <= 0:
-                raise ParseError(line_no, "weight must be positive")
+    for line_no, row in _csv_rows(path, ("ax", "ay", "bx", "by", "weight"), "events"):
+        try:
+            values = [float(x) for x in row]
+        except ValueError:
+            raise ParseError(line_no, f"bad number in {row!r}") from None
+        try:
             out.append(EventRecord(*values, line=line_no))
+        except ValueError as e:
+            raise ParseError(line_no, str(e)) from None
     return out
 
 

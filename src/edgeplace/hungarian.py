@@ -6,8 +6,8 @@ the server stood at location l. An injective minimum-total matching of
 servers to locations therefore minimizes the spread without touching the
 cost.
 
-The matching solver is a potential-based augmenting-path method (cubic in
-the matrix size). Among equal-total matchings it returns the
+The matching solver is a potential-based augmenting-path method on the
+m x n matrix itself (O(m^2 n)). Among equal-total matchings it returns the
 lexicographically smallest one in row-major order, found by a greedy pass
 over the zero-reduced-cost subgraph of the optimal potentials; this keeps
 downstream outputs byte-stable.
@@ -35,6 +35,8 @@ class RelocationMatrix:
             raise ValueError("entries must have one row per server")
         if entries.shape[0] > entries.shape[1]:
             raise ValueError("more servers than candidate locations")
+        if not np.isfinite(entries).all():
+            raise ValueError("entries must be finite")
         if (entries < 0).any():
             raise ValueError("entries must be non-negative")
         entries.setflags(write=False)
@@ -53,17 +55,19 @@ def build_matrix(instance: Instance, assignment: Assignment) -> RelocationMatrix
     return RelocationMatrix(tuple(servers), np.array(rows))
 
 
-def _min_cost_square(cost: np.ndarray):
-    """Optimal assignment on a square matrix via shortest augmenting paths.
+def _min_cost(cost: np.ndarray):
+    """Optimal assignment of every row of an m x n matrix (m <= n) via
+    shortest augmenting paths.
 
     Returns (col_of_row, row_potentials, col_potentials). Column index ``n``
-    is a virtual root used while growing alternating trees.
+    is a virtual root used while growing alternating trees. Augmentation only
+    lowers the potentials of matched columns, so free columns keep ``v = 0``.
     """
-    n = cost.shape[0]
-    u = np.zeros(n)
+    m, n = cost.shape
+    u = np.zeros(m)
     v = np.zeros(n + 1)
     row_of = np.full(n + 1, -1, dtype=int)
-    for r in range(n):
+    for r in range(m):
         row_of[n] = r
         j0 = n
         min_to = np.full(n, np.inf)
@@ -91,8 +95,9 @@ def _min_cost_square(cost: np.ndarray):
             j_prev = int(way[j0])
             row_of[j0] = row_of[j_prev]
             j0 = j_prev
-    col_of = np.empty(n, dtype=int)
-    col_of[row_of[:n]] = np.arange(n)
+    col_of = np.empty(m, dtype=int)
+    matched = np.flatnonzero(row_of[:n] != -1)
+    col_of[row_of[matched]] = matched
     return col_of, u, v[:n]
 
 
@@ -110,44 +115,37 @@ def _augment(row: int, tight, col_of, row_of, visited) -> bool:
     return False
 
 
-def _lex_smallest(cost: np.ndarray, col_of: np.ndarray, u: np.ndarray, v: np.ndarray, n_real: int):
+def _lex_smallest(cost: np.ndarray, col_of: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Rewire an optimal matching to the lexicographically smallest optimal one.
 
     Every optimal matching lives inside the tight subgraph of the optimal
-    potentials, and every perfect matching of that subgraph is optimal; rows
-    are canonicalized in order by trying smaller tight columns and
-    re-matching the displaced row.
+    potentials, and every matching of that subgraph that covers all rows and
+    all columns with ``v < 0`` is optimal. A virtual row ``m`` holds every
+    free column and is tight where ``-v <= tol``. Rows are canonicalized in
+    order by trying smaller tight columns and re-matching the displaced row.
     """
-    n = cost.shape[0]
-    tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
-    tight = (cost - u[:, None] - v[None, :]) <= tol
-    col_of = col_of.copy()
-    row_of = np.full(n, -1, dtype=int)
-    row_of[col_of] = np.arange(n)
+    m, n = cost.shape
+    tol = 1e-9 * (1.0 + float(np.abs(cost).max(initial=0.0)))
+    tight = np.vstack([(cost - u[:, None] - v[None, :]) <= tol, -v <= tol])
+    col_of = np.append(col_of, -1)
+    row_of = np.full(n, m, dtype=int)
+    row_of[col_of[:m]] = np.arange(m)
     fixed = np.zeros(n, dtype=bool)
-    for r in range(n_real):
+    for r in range(m):
         c_cur = int(col_of[r])
-        for c in np.flatnonzero(tight[r]):
-            c = int(c)
-            if c >= c_cur:
-                break
-            if fixed[c]:
-                continue
-            saved_col_of = col_of.copy()
-            saved_row_of = row_of.copy()
+        for c in np.flatnonzero(tight[r, :c_cur] & ~fixed[:c_cur]):
             displaced = int(row_of[c])
-            freed = int(col_of[r])
-            col_of[r] = c
             row_of[c] = r
-            row_of[freed] = -1
+            row_of[c_cur] = -1
             visited = fixed.copy()
             visited[c] = True
             if _augment(displaced, tight, col_of, row_of, visited):
+                col_of[r] = c
                 break
-            col_of[:] = saved_col_of
-            row_of[:] = saved_row_of
+            row_of[c] = displaced  # a failed _augment changed nothing
+            row_of[c_cur] = r
         fixed[col_of[r]] = True
-    return col_of
+    return col_of[:m]
 
 
 def solve_matching(matrix: RelocationMatrix) -> dict[int, int]:
@@ -156,15 +154,8 @@ def solve_matching(matrix: RelocationMatrix) -> dict[int, int]:
     Ties between equal-total matchings resolve to the row-major
     lexicographically smallest column choice.
     """
-    m, n = matrix.entries.shape
-    if m > n:
-        raise ValueError("infeasible: more servers than locations")
-    if not np.isfinite(matrix.entries).all():
-        raise ValueError("entries must be finite")
-    padded = np.zeros((n, n))
-    padded[:m] = matrix.entries
-    col_of, u, v = _min_cost_square(padded)
-    col_of = _lex_smallest(padded, col_of, u, v, m)
+    col_of, u, v = _min_cost(matrix.entries)
+    col_of = _lex_smallest(matrix.entries, col_of, u, v)
     return {server: int(col_of[r]) for r, server in enumerate(matrix.servers)}
 
 

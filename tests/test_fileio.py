@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -335,6 +337,17 @@ class TestEvents:
         ]
         assert back[0].line == 2
 
+    @pytest.mark.parametrize(
+        "fields",
+        [(math.inf, 0.5, 0.5, 0.5, 1.0), (0.5, math.nan, 0.5, 0.5, 1.0), (0.5, 0.5, 0.5, 0.5, math.inf)],
+        ids=["inf-coordinate", "nan-coordinate", "inf-weight"],
+    )
+    def test_record_rejects_non_finite_field(self, fields):
+        # an inf coordinate used to overflow in aggregate_events, a NaN one
+        # to fail float->int conversion there, an inf weight to give NaN workload
+        with pytest.raises(ValueError, match="non-finite"):
+            EventRecord(*fields)
+
     def test_instance_from_events_passes_validation(self):
         rng = np.random.default_rng(11)
         grid = GridSpec(3, 3, 1.0)
@@ -359,6 +372,10 @@ VALID_INSTANCE = (
 )
 VALID_ASSIGNMENT = "kind,index,location\nserver,0,1\ncell,0,1\ncell,1,1\n"
 VALID_EVENTS = "ax,ay,bx,by,weight\n0.1,0.2,0.3,0.4,1.5\n0.5,0.6,0.7,0.8,2.0\n"
+VALID_REPORT = (
+    "algo,capacity,loc_seed,init_seed,cost,spread,max_load,min_load,wall_ms\n"
+    "RAND,0.05,0,0,0.9,1.2,0.1,0.05,3.250\nKMED,0.05,0,0,0.8,0.7,0.2,0.01,11.000\n"
+)
 
 TOKENS = st.sampled_from(
     ["", " ", "0", "1", "-1", "2", "0.5", "1e999", "-1e999", "nan", "inf", "-inf", "abc",
@@ -420,6 +437,29 @@ class TestFuzzFindings:
         p.write_text(VALID_EVENTS.replace("1.5", value).replace("0.7", value))
         with pytest.raises(ParseError, match="line 2: non-finite"):
             read_events(p)
+
+    CSV_READERS = [(read_assignment, VALID_ASSIGNMENT), (read_events, VALID_EVENTS), (read_report, VALID_REPORT)]
+    CSV_IDS = ["assignment", "events", "report"]
+
+    @pytest.mark.parametrize("reader, valid", CSV_READERS, ids=CSV_IDS)
+    def test_field_over_csv_limit_names_line(self, tmp_path, reader, valid):
+        lines = valid.split("\n")
+        lines[2] = "x" * (1 << 17) + lines[2]  # over the csv module's 128 KiB field limit
+        p = tmp_path / "big.csv"
+        p.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match="line 3: field larger"):
+            reader(p)
+
+    @pytest.mark.parametrize(
+        "reader, valid", CSV_READERS + [(read_instance, VALID_INSTANCE)], ids=CSV_IDS + ["instance"]
+    )
+    def test_non_utf8_bytes_name_line(self, tmp_path, reader, valid):
+        lines = valid.encode("utf-8").split(b"\n")
+        lines[2] += b"\xff"
+        p = tmp_path / "latin.txt"
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match="line 3: not UTF-8"):
+            reader(p)
 
 
 class TestReaderFuzz:

@@ -26,6 +26,11 @@ class TestRelocationMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             RelocationMatrix((0,), np.array([[-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            RelocationMatrix((0,), np.array([[value, 0.0]]))
+
 
 class TestBuildMatrix:
     def test_single_server_row_is_weighted_distance_vector(self):
@@ -101,16 +106,42 @@ class TestSolveMatching:
         assert match == {7: 0, 9: 1}
 
     def test_lexicographic_on_structured_ties(self):
-        # optimal total is 0 via (0->1, 1->0) and (0->2, 1->0), etc.; the
-        # brute-force lexicographic winner must be returned exactly
+        # entries from {0, 1} or {0, 1, 2} give many equal-total matchings;
+        # the brute-force lexicographic winner must be returned exactly, on
+        # every shape up to 7 columns: square, rectangular and 0 x n (-> {})
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            entries = rng.integers(0, 3, size=(3, 5)).astype(float)
-            m = RelocationMatrix((0, 1, 2), entries)
-            match = solve_matching(m)
-            best_total, best_cols = brute_force_matching(entries)
-            assert matching_total(m, match) == best_total
-            assert tuple(match.values()) == best_cols
+        for n in range(1, 8):
+            for m_rows in range(n + 1):
+                for high in (2, 3):
+                    for _ in range(8):
+                        entries = rng.integers(0, high, size=(m_rows, n)).astype(float)
+                        m = RelocationMatrix(tuple(range(m_rows)), entries)
+                        match = solve_matching(m)
+                        best_total, best_cols = brute_force_matching(entries)
+                        assert matching_total(m, match) == best_total
+                        assert tuple(match.values()) == best_cols
+
+    @pytest.mark.parametrize("m_rows", [16, 25])
+    def test_total_matches_scipy_on_server_shapes(self, m_rows):
+        # servers x 250 candidates, the sites-250 shape brute force cannot reach
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(m_rows)
+        for high in (None, 2, 3):  # uniform floats, then integer ties
+            for _ in range(4):
+                if high is None:
+                    entries = rng.random((m_rows, 250))
+                else:
+                    entries = rng.integers(0, high, size=(m_rows, 250)).astype(float)
+                m = RelocationMatrix(tuple(range(m_rows)), entries)
+                match = solve_matching(m)
+                assert len(set(match.values())) == m_rows
+                rows, cols = optimize.linear_sum_assignment(entries)
+                expected = float(entries[rows, cols].sum())
+                total = matching_total(m, match)
+                if high is None:
+                    assert total == pytest.approx(expected, rel=1e-12, abs=0)
+                else:
+                    assert total == expected
 
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
