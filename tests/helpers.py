@@ -3,9 +3,9 @@
 Everything here is written as plainly as possible (explicit Python loops, no
 shared code with the package beyond the data types) so that agreement with
 the library is meaningful. The exceptions are ``swap_locations``, a test
-driver built on the library's ``assign_cells``, and the block of
-pre-optimisation FM code at the end, kept as bit-exact references for the
-optimised kernels.
+helper built on the library's ``assign_cells``, and the blocks of
+pre-optimisation FM and KMED code at the end, kept as bit-exact references
+for the optimised kernels.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from edgeplace import fm
-from edgeplace.kmedian import assign_cells
+from edgeplace.kmedian import SwapParams, assign_cells
 from edgeplace.model import Assignment, Instance, cellset_load, spread
 
 
@@ -237,3 +237,46 @@ def reference_cost_descent(instance, assignment, spread_cap=math.inf, max_sweeps
         if not committed:
             break
     return current
+
+
+# ---------------------------------------------------------------------------
+# Pre-batching KMED swap search, kept verbatim as the bit-exact reference for
+# the one-array-op-per-closing-location scan in edgeplace.kmedian.
+
+
+def _nearest_spread(instance: Instance, cols: np.ndarray) -> float:
+    """Spread of the nearest-location assignment onto ``cols`` (ascending)."""
+    d = instance.fronthaul[:, cols].min(axis=1)
+    return float((d * instance.cell_totals).sum())
+
+
+def reference_kmedian_search(
+    instance: Instance,
+    initial: Assignment,
+    params: SwapParams = SwapParams(),
+    accepted_log: list | None = None,
+) -> Assignment:
+    """Swap search that scores one (out, in) pair per ``_nearest_spread`` call."""
+    open_locs = sorted(set(initial.server_locations))
+    if len(open_locs) != instance.n_servers:
+        raise ValueError("initial assignment must open exactly n_servers locations")
+    current_spread = spread(instance, initial)
+    for _ in range(10 * instance.n_candidates):
+        accepted = False
+        closed = [l for l in range(instance.n_candidates) if l not in set(open_locs)]
+        for out_loc in list(open_locs):
+            for in_loc in closed:
+                cols = np.array(sorted(set(open_locs) - {out_loc} | {in_loc}))
+                candidate = _nearest_spread(instance, cols)
+                if candidate < (1.0 - params.kappa) * current_spread:
+                    open_locs = cols.tolist()
+                    current_spread = candidate
+                    accepted = True
+                    if accepted_log is not None:
+                        accepted_log.append(candidate)
+                    break
+            if accepted:
+                break
+        if not accepted:
+            break
+    return assign_cells(instance, open_locs)

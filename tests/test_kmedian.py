@@ -65,6 +65,13 @@ class TestAssignCells:
         with pytest.raises(ValueError, match="exactly"):
             assign_cells(inst, [1, 2, 3])
 
+    @pytest.mark.parametrize("locs", [[-1, 0], [0, 5], [0, 7]])
+    def test_rejects_location_out_of_range(self, locs):
+        # -1 used to wrap to the last candidate; 7 raised a bare IndexError.
+        inst = random_instance(np.random.default_rng(7), 5, 5, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            assign_cells(inst, locs)
+
 
 class TestSwapLocations:
     def test_swap_and_swap_back_restores_spread(self):
@@ -108,6 +115,21 @@ class TestSwapLocations:
 
 
 class TestKmedianSearch:
+    @pytest.mark.parametrize(
+        "locs, cmap, message",
+        [
+            ((-1, 0), [0, 0, 0, 0, 0], "out of range"),  # used to wrap to candidate 4
+            ((0, 7), [0, 0, 0, 0, 0], "out of range"),  # used to raise IndexError
+            ((0, 1), [0, 1, 2, 0, 1], "cell-location"),  # cell 2 on a closed location
+            ((0, 1), [0, -1, 0, 0, 1], "out-of-range"),  # cell 1 on location -1
+            ((0, 1, 2), [0, 1, 2, 0, 1], "server-count"),
+        ],
+    )
+    def test_rejects_malformed_initial(self, locs, cmap, message):
+        inst = random_instance(np.random.default_rng(29), 5, 5, 2)
+        with pytest.raises(ValueError, match=message):
+            kmedian_search(inst, Assignment(locs, np.array(cmap)))
+
     def test_all_candidates_open_returns_nearest_assignment(self):
         rng = np.random.default_rng(17)
         inst = random_instance(rng, 6, 3, 3)
