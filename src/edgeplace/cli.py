@@ -94,13 +94,13 @@ def _jobs_arg(text: str) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = read_instance(args.instance)
     config = SolverConfig(
         algorithm=args.algo,
         seed=args.seed,
         kappa=args.kappa,
         epsilon=args.epsilon,
     )
+    inst = read_instance(args.instance)
     result = solve(inst, config)
     print(f"algo={args.algo} cost={result.objectives.cost!r} spread={result.objectives.spread!r}")
     if args.trace:

@@ -19,11 +19,12 @@ order, committing a result only when it lowers the global cost and keeps the
 spread under a caller-supplied cap, until a full sweep commits nothing.
 
 ``move_cells(l0, l1)`` is a pure function of the workload, the capacity and
-the two cellsets, so ``cost_descent`` memoises its result per pair, keyed by
-per-location version counters that each commit bumps: a pair whose two
-cellsets are unchanged since its last call replays the stored result (no-op,
-or the new cellsets) without calling ``move_cells`` again. The global cost and
-spread comparisons read every server, so they are re-checked on every replay.
+the two cellsets, so ``cost_descent`` memoises its result per pair, and a
+commit drops the entries of every pair that contains one of its two
+locations: a pair whose entry survives has both cellsets unchanged since its
+last call, and replays the stored result (no-op, or the new cellsets) without
+calling ``move_cells`` again. The global cost and spread comparisons read
+every server, so they are re-checked on every replay.
 """
 from __future__ import annotations
 
@@ -41,14 +42,7 @@ MAX_SWEEPS = 100
 
 def delta_cost(workload: np.ndarray, cells_a, cells_b, capacity: float) -> float:
     """Joint cost contribution of two disjoint cellsets."""
-    cells_a = np.asarray(cells_a, dtype=int)
-    cells_b = np.asarray(cells_b, dtype=int)
-    if np.intersect1d(cells_a, cells_b).size:
-        raise ValueError("cellsets overlap")
-    cross = float(workload[np.ix_(cells_a, cells_b)].sum()) if cells_a.size and cells_b.size else 0.0
-    load_a = cellset_load(workload, cells_a)
-    load_b = cellset_load(workload, cells_b)
-    return cross + max(0.0, load_a - capacity) + max(0.0, load_b - capacity)
+    return PartitionState.from_sets(workload, cells_a, cells_b).delta(capacity)
 
 
 @dataclass
@@ -117,6 +111,13 @@ class PartitionState:
         self.other = np.where(self.side, to_a, to_b)
         self.load_a = cellset_load(self.weights, np.flatnonzero(~self.side))
         self.load_b = cellset_load(self.weights, np.flatnonzero(self.side))
+
+    def delta(self, capacity: float) -> float:
+        """``delta_cost`` of the current sides: the cut weight from scratch plus
+        each side's overflow at the loads ``recompute_sums`` last set."""
+        a, b = np.flatnonzero(~self.side), np.flatnonzero(self.side)
+        cross = float(self.weights[np.ix_(a, b)].sum()) if a.size and b.size else 0.0
+        return cross + max(0.0, self.load_a - capacity) + max(0.0, self.load_b - capacity)
 
     def cellset(self, side_b: bool) -> np.ndarray:
         return self.cells[self.side == side_b]
@@ -196,51 +197,37 @@ def move_cells(instance: Instance, assignment: Assignment, l0: int, l1: int) -> 
         raise ValueError("locations must differ")
     state = PartitionState.from_assignment(instance, assignment, l0, l1)
     capacity = instance.capacity
-
-    def current_delta() -> float:
-        return delta_cost(
-            state.weights,
-            np.flatnonzero(~state.side),
-            np.flatnonzero(state.side),
-            capacity,
-        )
-
     if state.cells.size:
+        start_delta = state.delta(capacity)
         while True:
             start_side = state.side.copy()
-            start_delta = current_delta()
             state.locked[:] = False
             state.move_log.clear()
             state.gain_log.clear()
-            best_total = 0.0
-            best_len = 0
             for _ in range(state.cells.size):
                 pick = _select(state, capacity)
                 if pick is None:
                     break
-                pos, gain = pick
-                state.apply_move(pos, gain)
-                state.locked[pos] = True
-                total = state.gain_log[-1]
-                if total > best_total:
-                    best_total = total
-                    best_len = len(state.move_log)
-            state.side = start_side.copy()
-            if best_total > 0.0:
-                for pos, _ in state.move_log[:best_len]:
-                    state.side[pos] = not state.side[pos]
-                state.recompute_sums()
-                # The summed per-move gains can drift by ~1e-16; a zero-gain
-                # prefix (e.g. a full mirror flip) must not count as progress
-                # or the pass loop ping-pongs forever. Keep the prefix only if
-                # the from-scratch value strictly improved.
-                if not current_delta() < start_delta:
-                    state.side = start_side
-                    state.recompute_sums()
-                    break
-            else:
-                state.recompute_sums()
+                state.apply_move(*pick)
+                state.locked[pick[0]] = True
+            # Keep the shortest prefix with the largest running gain, if positive.
+            best_total = max(state.gain_log, default=0.0)
+            if not best_total > 0.0:
+                state.side = start_side
                 break
+            state.side = start_side.copy()
+            for pos, _ in state.move_log[: state.gain_log.index(best_total) + 1]:
+                state.side[pos] = not state.side[pos]
+            state.recompute_sums()
+            # The summed per-move gains can drift by ~1e-16; a zero-gain
+            # prefix (e.g. a full mirror flip) must not count as progress
+            # or the pass loop ping-pongs forever. Keep the prefix only if
+            # the from-scratch value strictly improved.
+            end_delta = state.delta(capacity)
+            if not end_delta < start_delta:
+                state.side = start_side
+                break
+            start_delta = end_delta
     new_map = assignment.cell_to_location.copy()
     new_map[state.cellset(False)] = l0
     new_map[state.cellset(True)] = l1
@@ -267,11 +254,9 @@ def cost_descent(
     w = instance.workload
     current = assignment
     loads = {l: cellset_load(w, current.cells_of(l)) for l in locs}
-    # Pair (l0, l1) -> (versions of l0 and l1, result of move_cells): None
-    # for a no-op, else the pair's new cellsets and their loads. A version
-    # counts the commits that changed that location's cellset.
-    version = dict.fromkeys(locs, 0)
-    memo: dict[tuple[int, int], tuple] = {}
+    # Pair (l0, l1) -> result of move_cells on the current cellsets: None for
+    # a no-op, else the pair's new cellsets and their loads.
+    memo: dict[tuple[int, int], tuple | None] = {}
 
     def total_cost(changed: dict) -> float:
         # One load at a time, in location order: model.cost_of_loads's pairwise
@@ -287,17 +272,15 @@ def cost_descent(
         committed = False
         for i, l0 in enumerate(locs):
             for l1 in locs[i + 1:]:
-                stamp = (version[l0], version[l1])
-                hit = memo.get((l0, l1))
-                if hit is not None and hit[0] == stamp:
-                    result = hit[1]
+                if (l0, l1) in memo:
+                    result = memo[(l0, l1)]
                 else:
                     candidate = move_cells(instance, current, l0, l1)
                     result = None
                     if candidate != current:
                         cells0, cells1 = candidate.cells_of(l0), candidate.cells_of(l1)
                         result = (cells0, cells1, cellset_load(w, cells0), cellset_load(w, cells1))
-                    memo[(l0, l1)] = (stamp, result)
+                    memo[(l0, l1)] = result
                 if result is None:
                     continue
                 cells0, cells1, load0, load1 = result
@@ -314,8 +297,7 @@ def cost_descent(
                 current = candidate
                 current_cost = candidate_cost
                 loads[l0], loads[l1] = load0, load1
-                version[l0] += 1
-                version[l1] += 1
+                memo = {pair: r for pair, r in memo.items() if l0 not in pair and l1 not in pair}
                 committed = True
                 if commit_log is not None:
                     commit_log.append((candidate_cost, candidate_spread))

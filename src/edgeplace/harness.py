@@ -67,6 +67,9 @@ class SweepSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        SolverConfig(ALGORITHMS[0], seed=0, kappa=self.kappa, epsilon=self.epsilon)  # validates kappa, epsilon
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)

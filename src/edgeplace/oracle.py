@@ -29,14 +29,6 @@ class OracleResult:
     spread_witness: Assignment
     pareto: tuple[tuple[float, float], ...]  # non-dominated (cost, spread), cost ascending
 
-    def dominated_by_any(self, point: tuple[float, float], slack: float = 1e-12) -> bool:
-        """True if some achievable pair strictly dominates ``point``."""
-        c, s = point
-        for pc, ps in self.pareto:
-            if pc <= c + slack and ps <= s + slack and (pc < c - slack or ps < s - slack):
-                return True
-        return False
-
 
 def search_space_size(n_candidates: int, n_servers: int, n_cells: int) -> int:
     return math.comb(n_candidates, n_servers) * n_servers**n_cells

@@ -72,6 +72,20 @@ def test_solve_writes_assignment(instance_file, tmp_path, capsys):
     assert len(a.server_locations) == 2
 
 
+def test_solve_rejects_nan_epsilon(instance_file, tmp_path, capsys):
+    out = tmp_path / "assign.csv"
+    rc = main(["solve", "--instance", str(instance_file), "--epsilon", "nan", "--out", str(out)])
+    assert rc == 2
+    assert "epsilon must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
+    rc = main(["sweep", "--instance", str(tmp_path / "nope.txt"), "--kappa", "2", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "kappa must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "nope.txt")])
     assert rc == 2

@@ -6,6 +6,7 @@ gain ties on exact equality, so one ulp of drift could change assignments.
 Instances have a tight capacity (non-zero overflow terms), and quantised
 sparse workloads (tied gains); descents run with finite spread caps too.
 """
+import collections
 import math
 
 import numpy as np
@@ -21,8 +22,10 @@ from helpers import (
     random_assignment,
     reference_apply_move,
     reference_cost_descent,
+    reference_delta_cost,
     reference_fm_kernels,
     reference_gains,
+    reference_move_cells,
     reference_select,
 )
 
@@ -152,3 +155,40 @@ def test_memo_skips_unchanged_pairs(monkeypatch):
         saved += (len(calls) - memo_calls) - memo_calls
         calls.clear()
     assert saved > 0
+
+
+def test_move_cells_matches_reference_pass_loop(monkeypatch):
+    # Every pair call of the seeded descents, memo misses only, against the
+    # pass loop that recomputed each from-scratch delta and tracked the best
+    # prefix per move.
+    move_cells = fm.move_cells
+    totals = collections.Counter()
+
+    def checked(*args):
+        got = move_cells(*args)
+        stats = collections.Counter()
+        assert got == reference_move_cells(*args, stats=stats)
+        totals.update(stats)
+        totals["multi_pass"] += stats["kept_passes"] >= 2
+        return got
+
+    monkeypatch.setattr(fm, "move_cells", checked)
+    for seed in range(40):
+        inst, start, cap = descent_case(seed)
+        cost_descent(inst, start, spread_cap=cap)
+    # The cases must reach the drift guard, calls that keep several passes,
+    # and pairs with no cells at all.
+    assert totals["guard_rejected"] >= 100
+    assert totals["multi_pass"] >= 40
+    assert totals["empty"] >= 2
+
+
+def test_delta_cost_matches_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        inst = tight_instance(rng, int(rng.integers(2, 25)), 4, 2, quantised=bool(rng.random() < 0.5))
+        cells = rng.permutation(inst.n_cells)[: int(rng.integers(0, inst.n_cells + 1))]
+        split = rng.random(cells.size) < rng.random()
+        a, b = cells[~split], cells[split]
+        got = fm.delta_cost(inst.workload, a, b, inst.capacity)
+        assert got == reference_delta_cost(inst.workload, a, b, inst.capacity)

@@ -48,6 +48,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(algorithms=("SOLVE_IT",))
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [({"kappa": 2.0}, "kappa"), ({"epsilon": -1.0}, "epsilon"), ({"epsilon": math.nan}, "epsilon")],
+    )
+    def test_rejects_bad_solver_params(self, overrides, match):
+        # The sweep applies SolverConfig's rules before building any instance.
+        with pytest.raises(ValueError, match=match):
+            small_spec(**overrides)
+
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            small_spec(master_seed=-5)
+
     def test_full_capacity_sweeps(self):
         # Same capacity domain as Instance: (0, 1], so 1.0 is allowed.
         rep = run_sweep(small_spec(capacities=(1.0,), n_location_sets=1, n_initials=1))

@@ -44,3 +44,16 @@ def test_traced_solve_counts_swaps_and_commits():
     assert spans["fm"].counts == {"commits": len(phases["refine"].events)}
     assert phases["kmedian"].events and phases["refine"].events
     assert tracer.moves > 0
+
+
+def test_traced_pair_calls_nest_under_fm():
+    # cost_descent must call move_cells through the module attribute, or the
+    # benchmark's fm.pair_calls silently reads 0.
+    tracing = load_tracing()
+    inst = random_instance(np.random.default_rng(3), 30, 8, 3, capacity=0.2)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        solve(inst, SolverConfig("KMED_FM_HUNG", seed=1))
+    pair_spans = [s for s in tracer.spans if s.name == "fm.move_cells"]
+    assert pair_spans
+    assert all(tracer.spans[s.parent].name == "fm" for s in pair_spans)

@@ -30,6 +30,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="kappa"):
             SolverConfig(algo, seed=0, kappa=0.0)
 
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverConfig("FM_HUNG", seed=0, epsilon=math.nan)
+
     def test_epsilon_inf_allowed(self):
         assert math.isinf(SolverConfig("RAND", seed=0).epsilon)
 
@@ -96,7 +100,7 @@ class TestSolve:
             assert reloc.cost == pytest.approx(refine.cost, abs=1e-12)
             assert reloc.spread <= refine.spread + 1e-12
             # per-event logs: swap spreads strictly decreasing, commit costs too
-            swaps = [kmed.events] and kmed.events
+            swaps = kmed.events
             for before, after in zip([initial.spread] + swaps, swaps):
                 assert after < before
             commit_costs = [c for c, _ in refine.events]
