@@ -29,6 +29,22 @@ from .pipeline import ALGORITHMS, SolverConfig, solve
 from .render import plot_curves, render_map
 
 
+class UsageError(Exception):
+    pass
+
+
+def _usage_errors(build):
+    """``build`` raising a UsageError in place of the ValueError of a bad parameter."""
+
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+
+    return checked
+
+
 def default_out_dir() -> Path:
     return Path(os.environ.get("EDGEPLACE_OUT_DIR", "."))
 
@@ -49,6 +65,7 @@ def add_gen_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--candidates-at-cells", action="store_true")
 
 
+@_usage_errors
 def genspec_from_args(args) -> GenSpec:
     required = ("cells", "candidates", "servers", "capacity")
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
@@ -74,10 +91,6 @@ def genspec_from_args(args) -> GenSpec:
     )
 
 
-class UsageError(Exception):
-    pass
-
-
 def cmd_gen(args) -> int:
     inst = generate(genspec_from_args(args))
     out = Path(args.out) if args.out else default_out_dir() / "instance.txt"
@@ -86,20 +99,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _jobs_arg(text: str) -> int:
-    try:
-        return check_jobs(int(text))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-
-
 def cmd_solve(args) -> int:
-    config = SolverConfig(
-        algorithm=args.algo,
-        seed=args.seed,
-        kappa=args.kappa,
-        epsilon=args.epsilon,
-    )
+    config = _usage_errors(SolverConfig)(args.algo, args.seed, args.kappa, args.epsilon)
     inst = read_instance(args.instance)
     result = solve(inst, config)
     print(f"algo={args.algo} cost={result.objectives.cost!r} spread={result.objectives.spread!r}")
@@ -112,13 +113,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
+@_usage_errors
 def sweepspec_from_args(args) -> SweepSpec:
     if args.config:
         return _sweepspec_from_config(Path(args.config))
-    if args.instance:
-        source: GenSpec | str = args.instance
-    else:
-        source = genspec_from_args(args)
+    source = args.instance or genspec_from_args(args)
     capacities = tuple(float(c) for c in args.capacities.split(",")) if args.capacities else DEFAULT_CAPACITIES
     return SweepSpec(
         source=source,
@@ -167,9 +166,10 @@ def _sweepspec_from_config(path: Path) -> SweepSpec:
 
 
 def cmd_sweep(args) -> int:
+    jobs = _usage_errors(check_jobs)(args.jobs)
     spec = sweepspec_from_args(args)
     out_dir = Path(args.out_dir) if args.out_dir else default_out_dir() / "sweep"
-    report = run_sweep(spec, out_dir=out_dir, jobs=args.jobs)
+    report = run_sweep(spec, out_dir=out_dir, jobs=jobs)
     print(f"wrote {out_dir / 'runs.csv'} ({len(report.rows)} runs)")
     print(f"wrote {out_dir / 'summary.csv'} ({len(report.aggregates)} aggregate rows)")
     return 0
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--kappa", type=float, default=1e-4)
     p.add_argument("--epsilon", type=float, default="inf")
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_sweep)
 

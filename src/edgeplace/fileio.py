@@ -23,7 +23,9 @@ Instance file (line oriented)::
     end
 
 The fronthaul section is omitted when the matrix equals the Euclidean
-distances implied by the coordinates (the reader recomputes it).
+distances implied by the coordinates (the reader recomputes it). Numbers are
+finite ASCII decimals and workload indices integers (one ``np.loadtxt`` call
+per section); a triple may appear once, and only blank lines may follow ``end``.
 
 Assignment CSV: header ``kind,index,location``; one ``server`` row per slot
 (index is the slot position) and one ``cell`` row per cell.
@@ -41,7 +43,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,8 +96,16 @@ def _csv_rows(path, columns: tuple[str, ...], name: str):
 # instance format
 
 
+def _section_lines(name: str, *columns: np.ndarray) -> Iterator[str]:
+    """The ``name`` line, then one line per row of the ``columns``: ints, and
+    floats in shortest round-trip form."""
+    yield name + "\n"
+    for row in zip(*(c.tolist() for c in columns)):
+        yield " ".join(map(repr, row)) + "\n"
+
+
 def write_instance(instance: Instance, path) -> None:
-    lines = [
+    header = [
         "edgeplace-instance 1",
         f"cells {instance.n_cells}",
         f"candidates {instance.n_candidates}",
@@ -104,139 +114,127 @@ def write_instance(instance: Instance, path) -> None:
     ]
     if instance.grid is not None:
         g = instance.grid
-        lines.append(
+        header.append(
             f"grid {g.rows} {g.cols} {_fmt(g.cell_size)} {_fmt(g.origin[0])} {_fmt(g.origin[1])}"
         )
-    lines.append("cell_coords")
-    for x, y in instance.cell_coords:
-        lines.append(f"{_fmt(x)} {_fmt(y)}")
-    lines.append("candidate_coords")
-    for x, y in instance.candidate_coords:
-        lines.append(f"{_fmt(x)} {_fmt(y)}")
-    lines.append("workload")
     w = instance.workload
-    for i, j in zip(*np.triu_indices(instance.n_cells)):
-        if w[i, j] != 0.0:
-            lines.append(f"{i} {j} {_fmt(w[i, j])}")
-    if not instance.has_euclidean_fronthaul():
-        lines.append("fronthaul")
-        for row in instance.fronthaul:
-            lines.append(" ".join(_fmt(x) for x in row))
-    lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    i, j = np.nonzero(np.triu(w))  # row-major: the order of the triples
+    with open(path, "w", encoding="utf-8", newline="\n") as f:  # streamed, line by line
+        f.writelines(line + "\n" for line in header)
+        f.writelines(_section_lines("cell_coords", *instance.cell_coords.T))
+        f.writelines(_section_lines("candidate_coords", *instance.candidate_coords.T))
+        f.writelines(_section_lines("workload", i, j, w[i, j]))
+        if not instance.has_euclidean_fronthaul():
+            f.writelines(_section_lines("fronthaul", *instance.fronthaul.T))
+        f.write("end\n")
+
+
+# One record per workload line ``i j w``: indices parse as integers only.
+_TRIPLE = np.dtype([("i", np.int64), ("j", np.int64), ("w", float)])
 
 
 class _LineReader:
     def __init__(self, path):
-        self.lines = _read_text(path).splitlines()
+        self.lines = list(map(str.strip, _read_text(path).splitlines()))
         self.pos = 0
-
-    @property
-    def line_no(self) -> int:
-        return self.pos  # 1-based number of the line just read
 
     def next(self, expect: str | None = None) -> str:
         if self.pos >= len(self.lines):
             raise ParseError(self.pos + 1, "unexpected end of file")
-        line = self.lines[self.pos].strip()
-        self.pos += 1
+        line = self.lines[self.pos]
+        self.pos += 1  # now the 1-based number of the line just read
         if expect is not None and not line.startswith(expect):
             raise ParseError(self.pos, f"expected {expect!r}, got {line!r}")
         return line
 
-    def peek(self) -> str | None:
-        return self.lines[self.pos].strip() if self.pos < len(self.lines) else None
+    def rows(self, section: str, count: int | None, dtype: np.dtype) -> np.ndarray:
+        """The ``section`` line, then the next ``count`` lines (``None``: up to
+        a ``fronthaul`` or ``end`` line) as one ``dtype`` record each,
+        converted by one ``np.loadtxt`` call. ParseError naming the first line
+        with the wrong field count, a bad number or a non-finite value, else
+        the end of the file if the section is cut short."""
+        self.next(section)
+        if count is None:
+            rest = self.lines[self.pos :] + ["fronthaul", "end"]
+            count = min(rest.index("fronthaul"), rest.index("end"))
+        first, block = self.pos + 1, self.lines[self.pos : self.pos + count]
+        self.pos += len(block)
+        try:  # loadtxt skips blank lines (and warns when all are), hence the row count
+            rows = np.loadtxt(block, dtype, comments=None, ndmin=1) if any(block) else np.empty(0, dtype)
+            good = len(rows) == len(block) and all(np.isfinite(rows[f]).all() for f in dtype.names)
+        except ValueError:
+            good = False
+        # Each failure above is local to one line, so when not good this loop raises.
+        for line_no, line in enumerate([] if good else block, start=first):
+            fields = len(line.split())
+            if fields != len(dtype):
+                raise ParseError(line_no, f"expected {len(dtype)} values, got {fields}")
+            try:
+                row = np.loadtxt([line], dtype, comments=None)
+            except ValueError:
+                raise ParseError(line_no, f"bad number in {line!r}") from None
+            if not all(np.isfinite(row[f]) for f in dtype.names):
+                raise ParseError(line_no, f"non-finite value in {section}")
+        if len(block) < count:
+            raise ParseError(self.pos + 1, "unexpected end of file")
+        return rows
 
-
-def _parse_floats(reader: _LineReader, count: int) -> list[float]:
-    line = reader.next()
-    parts = line.split()
-    if len(parts) != count:
-        raise ParseError(reader.line_no, f"expected {count} values, got {len(parts)}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ParseError(reader.line_no, f"bad number in {line!r}") from None
-
-
-def _check_finite(rows: np.ndarray, first_line: int, section: str) -> None:
-    """ParseError naming the line of the first row (rows are consecutive
-    lines from ``first_line``) that holds a non-finite value."""
-    finite = np.isfinite(rows)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite.reshape(len(rows), -1).all(axis=1))[0])
-        raise ParseError(first_line + row, f"non-finite value in {section}")
+    def floats(self, section: str, count: int, width: int) -> np.ndarray:
+        """The ``section`` line, then ``count`` lines as a (count, width) float array."""
+        return self.rows(section, count, np.dtype([("", float)] * width)).view(float).reshape(-1, width)
 
 
 def read_instance(path) -> Instance:
     r = _LineReader(path)
     header = r.next("edgeplace-instance")
     if header.split() != ["edgeplace-instance", "1"]:
-        raise ParseError(r.line_no, f"unsupported header {header!r}")
+        raise ParseError(r.pos, f"unsupported header {header!r}")
 
-    def count_field(name: str) -> int:
+    def field(name: str, kind=int):
+        """The value on the ``name`` line: a count >= 0, or any ``float``."""
         line = r.next(name)
         try:
-            (value,) = map(int, line.split()[1:])
-            if value >= 0:
+            (value,) = map(kind, line.split()[1:])
+            if kind is float or value >= 0:
                 return value
         except ValueError:
             pass
-        raise ParseError(r.line_no, f"bad {name} line {line!r}")
+        raise ParseError(r.pos, f"bad {name} line {line!r}")
 
-    n_cells = count_field("cells")
-    n_candidates = count_field("candidates")
-    n_servers = count_field("servers")
-    cap_line = r.next("capacity")
-    try:
-        (capacity,) = map(float, cap_line.split()[1:])
-    except ValueError:
-        raise ParseError(r.line_no, f"bad capacity line {cap_line!r}") from None
+    n_cells, n_candidates, n_servers = field("cells"), field("candidates"), field("servers")
+    capacity = field("capacity", float)
     grid = None
-    if r.peek() is not None and r.peek().startswith("grid"):
+    if r.pos < len(r.lines) and r.lines[r.pos].startswith("grid"):
         line = r.next()
         try:
             _, rows, cols, size, ox, oy = line.split()
             rows, cols, size, origin = int(rows), int(cols), float(size), (float(ox), float(oy))
         except ValueError:
-            raise ParseError(r.line_no, f"grid line needs 'rows cols cell_size ox oy', got {line!r}") from None
+            raise ParseError(r.pos, f"grid line needs 'rows cols cell_size ox oy', got {line!r}") from None
         try:
             grid = GridSpec(rows, cols, size, origin)
         except ValueError as e:
-            raise SchemaError(f"line {r.line_no}: {e}") from None
-    r.next("cell_coords")
-    cells = np.array([_parse_floats(r, 2) for _ in range(n_cells)])
-    _check_finite(cells, r.line_no - n_cells + 1, "cell_coords")
-    r.next("candidate_coords")
-    cands = np.array([_parse_floats(r, 2) for _ in range(n_candidates)])
-    _check_finite(cands, r.line_no - n_candidates + 1, "candidate_coords")
-    r.next("workload")
-    first_triple = r.line_no + 1
+            raise SchemaError(f"line {r.pos}: {e}") from None
+    cells = r.floats("cell_coords", n_cells, 2)
+    cands = r.floats("candidate_coords", n_candidates, 2)
+    triples = r.rows("workload", None, _TRIPLE)
+    first = r.pos - len(triples) + 1
+    fronthaul = r.floats("fronthaul", n_cells, n_candidates) if r.lines[r.pos : r.pos + 1] == ["fronthaul"] else None
+    r.next("end")
+    extra = next((k for k in range(r.pos, len(r.lines)) if r.lines[k]), None)
+    if extra is not None:
+        raise ParseError(extra + 1, f"content after 'end': {r.lines[extra]!r}")
+    del r  # free the file's lines before the matrix is built: this keeps the peak memory low
+    i, j = triples["i"], triples["j"]
+    _, first_of, key = np.unique(i * n_cells + j, return_index=True, return_inverse=True)
+    in_range = (0 <= i) & (i <= j) & (j < n_cells)
+    bad = np.flatnonzero(~in_range | (first_of[key] != np.arange(len(triples))))
+    if bad.size:  # the first line out of range or repeating an earlier triple
+        k = bad[0]
+        problem = f"repeats line {first + first_of[key[k]]}" if in_range[k] else f"out of range for {n_cells} cells"
+        raise SchemaError(f"line {first + k}: workload triple ({i[k]}, {j[k]}) {problem}")
     w = np.zeros((n_cells, n_cells))
-    while True:
-        line = r.next()
-        if line in ("fronthaul", "end"):
-            break
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(r.line_no, f"workload triple needs 'i j w', got {line!r}")
-        try:
-            i, j, val = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(r.line_no, f"bad workload triple {line!r}") from None
-        if not (0 <= i <= j < n_cells):
-            raise SchemaError(f"workload triple ({i}, {j}) out of range for {n_cells} cells")
-        w[i, j] = val
-        w[j, i] = val
-    if not np.isfinite(w).all():  # find the line only on this error path
-        for line_no in range(first_triple, r.line_no):
-            if not math.isfinite(float(r.lines[line_no - 1].split()[2])):
-                raise ParseError(line_no, "non-finite value in workload")
-    fronthaul = None
-    if line == "fronthaul":
-        fronthaul = np.array([_parse_floats(r, n_candidates) for _ in range(n_cells)])
-        _check_finite(fronthaul, r.line_no - n_cells + 1, "fronthaul")
-        r.next("end")
+    w[i, j] = w[j, i] = triples["w"]
     try:
         return Instance(cells, cands, w, n_servers, capacity, fronthaul=fronthaul, grid=grid)
     except ValueError as e:

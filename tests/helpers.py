@@ -4,8 +4,8 @@ Everything here is written as plainly as possible (explicit Python loops, no
 shared code with the package beyond the data types) so that agreement with
 the library is meaningful. The exceptions are ``swap_locations``, a test
 helper built on the library's ``assign_cells``, and the blocks of
-pre-optimisation FM and KMED code at the end, kept as bit-exact references
-for the optimised kernels.
+pre-optimisation FM, KMED and instance-writer code at the end, kept as
+bit-exact references for the optimised code.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import collections
 import contextlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -365,3 +366,44 @@ def reference_kmedian_search(
         if not accepted:
             break
     return assign_cells(instance, open_locs)
+
+
+# ---------------------------------------------------------------------------
+# Per-entry instance writer, kept verbatim as the byte-exact reference for the
+# one-row-formatter writer in edgeplace.fileio.
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def reference_write_instance(instance: Instance, path) -> None:
+    lines = [
+        "edgeplace-instance 1",
+        f"cells {instance.n_cells}",
+        f"candidates {instance.n_candidates}",
+        f"servers {instance.n_servers}",
+        f"capacity {_fmt(instance.capacity)}",
+    ]
+    if instance.grid is not None:
+        g = instance.grid
+        lines.append(
+            f"grid {g.rows} {g.cols} {_fmt(g.cell_size)} {_fmt(g.origin[0])} {_fmt(g.origin[1])}"
+        )
+    lines.append("cell_coords")
+    for x, y in instance.cell_coords:
+        lines.append(f"{_fmt(x)} {_fmt(y)}")
+    lines.append("candidate_coords")
+    for x, y in instance.candidate_coords:
+        lines.append(f"{_fmt(x)} {_fmt(y)}")
+    lines.append("workload")
+    w = instance.workload
+    for i, j in zip(*np.triu_indices(instance.n_cells)):
+        if w[i, j] != 0.0:
+            lines.append(f"{i} {j} {_fmt(w[i, j])}")
+    if not instance.has_euclidean_fronthaul():
+        lines.append("fronthaul")
+        for row in instance.fronthaul:
+            lines.append(" ".join(_fmt(x) for x in row))
+    lines.append("end")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

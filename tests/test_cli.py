@@ -75,15 +75,40 @@ def test_solve_writes_assignment(instance_file, tmp_path, capsys):
 def test_solve_rejects_nan_epsilon(instance_file, tmp_path, capsys):
     out = tmp_path / "assign.csv"
     rc = main(["solve", "--instance", str(instance_file), "--epsilon", "nan", "--out", str(out)])
-    assert rc == 2
+    assert rc == 1
     assert "epsilon must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
     rc = main(["sweep", "--instance", str(tmp_path / "nope.txt"), "--kappa", "2", "--out-dir", str(tmp_path)])
-    assert rc == 2
+    assert rc == 1
     assert "kappa must lie in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("gen --cells 10 --candidates 4 --servers 2 --capacity 2 --out {nope}", "capacity must lie in (0, 1]"),
+        ("solve --instance {nope} --epsilon nan", "epsilon must be >= 0"),
+        ("solve --instance {nope} --kappa 2", "kappa must lie in (0, 1)"),
+        ("solve --instance {nope} --seed -1", "seed must fit in 64 bits"),
+        ("sweep --instance {nope} --kappa 2 --out-dir {tmp}", "kappa must lie in (0, 1)"),
+        ("sweep --instance {nope} --capacities 0.5,x --out-dir {tmp}", "could not convert string to float: 'x'"),
+        ("sweep --instance {nope} --capacities 2 --out-dir {tmp}", "capacity must lie in (0, 1]"),
+        ("sweep --instance {nope} --loc-sets 0 --out-dir {tmp}", "seed counts must be >= 1"),
+        ("sweep --instance {nope} --algos FOO --out-dir {tmp}", "unknown algorithm 'FOO'"),
+    ],
+)
+def test_bad_parameter_is_usage_error(tmp_path, capsys, command, message):
+    # {nope} does not exist: each parameter is checked before a file is read or written
+    nope = tmp_path / "nope.txt"
+    rc = main(command.format(nope=nope, tmp=tmp_path).split())
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert message in err
+    assert not nope.exists()
 
 
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edgeplace.fileio import (
@@ -24,7 +24,7 @@ from edgeplace.fileio import (
 from edgeplace.generate import GenSpec, gen_gravity, gen_uniform
 from edgeplace.model import Assignment, GridSpec, Instance
 
-from helpers import random_assignment, random_instance
+from helpers import random_assignment, random_instance, reference_write_instance
 
 
 class TestInstanceRoundTrip:
@@ -488,3 +488,109 @@ class TestReaderFuzz:
     @given(text=fuzz_text(VALID_EVENTS))
     def test_read_events(self, tmp_path, text):
         self.read(read_events, text, tmp_path)
+
+    @FUZZ
+    @given(text=fuzz_text(VALID_INSTANCE))
+    @example(text=VALID_INSTANCE.replace("0 0 0.25\n0 1 0.5\n1 1 0.25\n", ""))  # a section of no rows
+    @example(text=VALID_INSTANCE.replace("0 0 0.25\n0 1 0.5\n1 1 0.25\n", "\n\n"))  # of blank lines only
+    @pytest.mark.filterwarnings("error")
+    def test_read_instance_warns_nothing(self, tmp_path, text):
+        self.read(read_instance, text, tmp_path)
+
+
+# Line numbers in VALID_INSTANCE of the second row of each numeric section.
+SECOND_ROW = {"cell_coords": 9, "candidate_coords": 12, "workload": 15, "fronthaul": 19}
+
+
+class TestSectionErrors:
+    """Every numeric section names the line of its first fault."""
+
+    @staticmethod
+    def read_edited(tmp_path, edit):
+        lines = VALID_INSTANCE.split("\n")
+        p = tmp_path / "bad.txt"
+        p.write_text("\n".join(edit(lines)))
+        return read_instance(p)
+
+    @pytest.mark.parametrize("section", SECOND_ROW)
+    @pytest.mark.parametrize("case", ["field-count", "bad-number", "nan", "inf", "blank-line", "cut-short"])
+    def test_fault_names_line(self, tmp_path, section, case):
+        n = SECOND_ROW[section]
+        row = VALID_INSTANCE.split("\n")[n - 1]
+        width = len(row.split())
+        last = lambda token: lambda lines: lines[: n - 1] + [row.rsplit(" ", 1)[0] + " " + token] + lines[n:]
+        edit, message = {
+            "field-count": (lambda lines: lines[: n - 1] + [row + " 1"] + lines[n:], f"expected {width} values, got {width + 1}"),
+            "bad-number": (last("abc"), "bad number in"),
+            "nan": (last("nan"), f"non-finite value in {section}"),
+            "inf": (last("inf"), f"non-finite value in {section}"),
+            "blank-line": (lambda lines: lines[: n - 1] + [""] + lines[n - 1 :], f"expected {width} values, got 0"),
+            "cut-short": (lambda lines: lines[: n - 1] + [""], "unexpected end of file"),
+        }[case]
+        with pytest.raises(ParseError, match=f"^line {n}: {message}"):
+            self.read_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("0 1 0.5", "1.0 1 0.5", 15),
+            ("0 1 0.5", "0 1e0 0.5", 15),
+            ("0 1 0.5", "zero 1 0.5", 15),
+            ("0 1 0.5", "0 1_0 0.5", 15),
+            ("0 1 0.5", "0 " + "9" * 30 + " 0.5", 15),
+            ("0.75 0.25", "0.7_5 0.25", 9),
+            ("0.1 0.2", "0.1 0.2 # note", 18),
+        ],
+    )
+    def test_spellings_outside_the_format_name_line(self, tmp_path, old, new, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            self.read_edited(tmp_path, lambda lines: [new if l == old else l for l in lines])
+
+    def test_repeated_triple_names_both_lines(self, tmp_path):
+        edit = lambda lines: lines[:13] + ["0 0 0.9"] + lines[13:]  # before "0 0 0.25"
+        with pytest.raises(SchemaError, match=r"^line 15: workload triple \(0, 0\) repeats line 14$"):
+            self.read_edited(tmp_path, edit)
+
+    def test_out_of_range_triple_names_line(self, tmp_path):
+        edit = lambda lines: [("1 0 0.5" if l == "0 1 0.5" else l) for l in lines]
+        with pytest.raises(SchemaError, match=r"^line 15: workload triple \(1, 0\) out of range for 2 cells$"):
+            self.read_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("tail, line", [(["trailing garbage", ""], 21), (["", "  ", "0 0 0.5", ""], 23)])
+    def test_content_after_end_names_line(self, tmp_path, tail, line):
+        with pytest.raises(ParseError, match=f"^line {line}: content after 'end'"):
+            self.read_edited(tmp_path, lambda lines: lines[:-1] + tail)
+
+    def test_blank_lines_after_end_are_fine(self, tmp_path):
+        inst = self.read_edited(tmp_path, lambda lines: lines + ["", "   ", ""])
+        assert inst.workload[0, 1] == 0.5
+
+
+def _explicit_fronthaul_instance() -> Instance:
+    rng = np.random.default_rng(21)
+    inst = random_instance(rng, 30, 7, 3)
+    return Instance(inst.cell_coords, inst.candidate_coords, inst.workload, 3, 0.4, fronthaul=rng.random((30, 7)) * 2.0)
+
+
+WRITER_CASES = {
+    "uniform-500": lambda: gen_uniform(
+        GenSpec(n_cells=500, n_candidates=50, n_servers=10, capacity=0.08, seed=20250808)
+    ),
+    "gravity-grid": lambda: gen_gravity(
+        GenSpec(n_cells=625, n_candidates=50, n_servers=10, capacity=0.05, seed=20250808, layout="grid",
+                grid=GridSpec(25, 25, 0.04), workload_model="gravity", corr_length=0.1, activity_sigma=0.5)
+    ),
+    "explicit-fronthaul": _explicit_fronthaul_instance,
+}
+
+
+@pytest.mark.parametrize("make", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_writer_matches_reference_and_round_trips_bit_for_bit(tmp_path, make):
+    inst = make()
+    write_instance(inst, tmp_path / "new.txt")
+    reference_write_instance(inst, tmp_path / "reference.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    back = read_instance(tmp_path / "new.txt")
+    assert back == inst
+    for name in ("cell_coords", "candidate_coords", "workload", "fronthaul"):
+        assert getattr(back, name).tobytes() == getattr(inst, name).tobytes()
