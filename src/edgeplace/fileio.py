@@ -1,4 +1,4 @@
-"""File formats and event-record aggregation.
+"""File formats.
 
 All formats are plain text: UTF-8, LF line endings, '.' decimal separator.
 Floats are written with Python's shortest round-trip representation, so a
@@ -26,6 +26,7 @@ The fronthaul section is omitted when the matrix equals the Euclidean
 distances implied by the coordinates (the reader recomputes it). Numbers are
 finite ASCII decimals and workload indices integers (one ``np.loadtxt`` call
 per section); a triple may appear once, and only blank lines may follow ``end``.
+A section or field name is matched as the whole first token of its line.
 
 Assignment CSV: header ``kind,index,location``; one ``server`` row per slot
 (index is the slot position) and one ``cell`` row per cell.
@@ -33,14 +34,11 @@ Assignment CSV: header ``kind,index,location``; one ``server`` row per slot
 Report CSV: header
 ``algo,capacity,loc_seed,init_seed,cost,spread,max_load,min_load,wall_ms``;
 one row per run.
-
-Event CSV: header ``ax,ay,bx,by,weight``; one undirected record per line.
 """
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -92,6 +90,15 @@ def _csv_rows(path, columns: tuple[str, ...], name: str):
         raise ParseError(rows.line_num, str(e)) from None
 
 
+def write_csv(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV file: the ``columns`` header, then one line per row of
+    already formatted fields (``str`` or ``int``)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # instance format
 
@@ -138,14 +145,17 @@ class _LineReader:
         self.lines = list(map(str.strip, _read_text(path).splitlines()))
         self.pos = 0
 
+    def at(self, name: str) -> bool:
+        """Whether the next line's first whitespace token is exactly ``name``."""
+        return self.pos < len(self.lines) and self.lines[self.pos].split()[:1] == [name]
+
     def next(self, expect: str | None = None) -> str:
         if self.pos >= len(self.lines):
             raise ParseError(self.pos + 1, "unexpected end of file")
-        line = self.lines[self.pos]
+        if expect is not None and not self.at(expect):
+            raise ParseError(self.pos + 1, f"expected {expect!r}, got {self.lines[self.pos]!r}")
         self.pos += 1  # now the 1-based number of the line just read
-        if expect is not None and not line.startswith(expect):
-            raise ParseError(self.pos, f"expected {expect!r}, got {line!r}")
-        return line
+        return self.lines[self.pos - 1]
 
     def rows(self, section: str, count: int | None, dtype: np.dtype) -> np.ndarray:
         """The ``section`` line, then the next ``count`` lines (``None``: up to
@@ -204,7 +214,7 @@ def read_instance(path) -> Instance:
     n_cells, n_candidates, n_servers = field("cells"), field("candidates"), field("servers")
     capacity = field("capacity", float)
     grid = None
-    if r.pos < len(r.lines) and r.lines[r.pos].startswith("grid"):
+    if r.at("grid"):
         line = r.next()
         try:
             _, rows, cols, size, ox, oy = line.split()
@@ -219,7 +229,7 @@ def read_instance(path) -> Instance:
     cands = r.floats("candidate_coords", n_candidates, 2)
     triples = r.rows("workload", None, _TRIPLE)
     first = r.pos - len(triples) + 1
-    fronthaul = r.floats("fronthaul", n_cells, n_candidates) if r.lines[r.pos : r.pos + 1] == ["fronthaul"] else None
+    fronthaul = r.floats("fronthaul", n_cells, n_candidates) if r.at("fronthaul") else None
     r.next("end")
     extra = next((k for k in range(r.pos, len(r.lines)) if r.lines[k]), None)
     if extra is not None:
@@ -244,23 +254,20 @@ def read_instance(path) -> Instance:
 # ---------------------------------------------------------------------------
 # assignment format
 
+ASSIGNMENT_COLUMNS = ("kind", "index", "location")
 _INT64 = range(-(2**63), 2**63)  # locations are stored as int64
 
 
 def write_assignment(assignment: Assignment, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["kind", "index", "location"])
-        for slot, loc in enumerate(assignment.server_locations):
-            writer.writerow(["server", slot, loc])
-        for i, loc in enumerate(assignment.cell_to_location):
-            writer.writerow(["cell", i, int(loc)])
+    servers = [("server", slot, loc) for slot, loc in enumerate(assignment.server_locations)]
+    cells = [("cell", i, loc) for i, loc in enumerate(assignment.cell_to_location.tolist())]
+    write_csv(path, ASSIGNMENT_COLUMNS, servers + cells)
 
 
 def read_assignment(path) -> Assignment:
     servers: list[int] = []
     cells: dict[int, int] = {}
-    for line_no, row in _csv_rows(path, ("kind", "index", "location"), "assignment"):
+    for line_no, row in _csv_rows(path, ASSIGNMENT_COLUMNS, "assignment"):
         kind, index, location = row
         try:
             index, location = int(index), int(location)
@@ -312,23 +319,11 @@ class RunRow:
 
 
 def write_report(rows: Iterable[RunRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.algo,
-                    _fmt(r.capacity),
-                    r.loc_seed,
-                    r.init_seed,
-                    _fmt(r.cost),
-                    _fmt(r.spread),
-                    _fmt(r.max_load),
-                    _fmt(r.min_load),
-                    f"{r.wall_ms:.3f}",
-                ]
-            )
+    write_csv(path, REPORT_COLUMNS, (
+        [r.algo, _fmt(r.capacity), r.loc_seed, r.init_seed, _fmt(r.cost), _fmt(r.spread),
+         _fmt(r.max_load), _fmt(r.min_load), f"{r.wall_ms:.3f}"]
+        for r in rows
+    ))
 
 
 def read_report(path) -> list[RunRow]:
@@ -351,109 +346,3 @@ def read_report(path) -> list[RunRow]:
         except ValueError:
             raise ParseError(line_no, f"bad values in {row!r}") from None
     return out
-
-
-# ---------------------------------------------------------------------------
-# event records and grid aggregation
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One undirected interaction between two points, e.g. a call record."""
-
-    ax: float
-    ay: float
-    bx: float
-    by: float
-    weight: float
-    line: int | None = None  # source line when read from a file
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.ax, self.ay, self.bx, self.by, self.weight))):
-            raise ValueError("non-finite value in event record")
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
-
-
-def write_events(records: Iterable[EventRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["ax", "ay", "bx", "by", "weight"])
-        for rec in records:
-            writer.writerow([_fmt(rec.ax), _fmt(rec.ay), _fmt(rec.bx), _fmt(rec.by), _fmt(rec.weight)])
-
-
-def read_events(path) -> list[EventRecord]:
-    out = []
-    for line_no, row in _csv_rows(path, ("ax", "ay", "bx", "by", "weight"), "events"):
-        try:
-            values = [float(x) for x in row]
-        except ValueError:
-            raise ParseError(line_no, f"bad number in {row!r}") from None
-        try:
-            out.append(EventRecord(*values, line=line_no))
-        except ValueError as e:
-            raise ParseError(line_no, str(e)) from None
-    return out
-
-
-def _bin_point(grid: GridSpec, x: float, y: float) -> int | None:
-    """Row-major cell index with half-open bins; exact top/right edges clamp
-    inward; None when outside the grid."""
-    ox, oy = grid.origin
-    col = math.floor((x - ox) / grid.cell_size)
-    row = math.floor((y - oy) / grid.cell_size)
-    if col == grid.cols and x == ox + grid.cols * grid.cell_size:
-        col -= 1
-    if row == grid.rows and y == oy + grid.rows * grid.cell_size:
-        row -= 1
-    if not (0 <= col < grid.cols and 0 <= row < grid.rows):
-        return None
-    return row * grid.cols + col
-
-
-def aggregate_events(
-    records: Iterable[EventRecord], grid: GridSpec, strict: bool = True
-) -> tuple[np.ndarray, int]:
-    """Bin event endpoints onto the grid and accumulate a normalized
-    symmetric workload matrix.
-
-    Returns ``(workload, n_dropped)``. In strict mode an out-of-grid record
-    raises ``ValueError`` naming the record; in lenient mode it is dropped
-    and counted.
-    """
-    n = grid.n_cells
-    w = np.zeros((n, n))
-    dropped = 0
-    for k, rec in enumerate(records):
-        ca = _bin_point(grid, rec.ax, rec.ay)
-        cb = _bin_point(grid, rec.bx, rec.by)
-        if ca is None or cb is None:
-            where = f"line {rec.line}" if rec.line is not None else f"record {k}"
-            if strict:
-                raise ValueError(f"{where}: endpoint outside the grid")
-            dropped += 1
-            continue
-        i, j = min(ca, cb), max(ca, cb)
-        w[i, j] += rec.weight
-    total = np.triu(w).sum()
-    if total <= 0:
-        raise ValueError("no in-grid events to aggregate")
-    w /= total
-    w = np.triu(w)
-    return w + np.triu(w, 1).T, dropped
-
-
-def instance_from_events(
-    records: Iterable[EventRecord],
-    grid: GridSpec,
-    n_servers: int,
-    capacity: float,
-    candidate_coords: np.ndarray,
-    strict: bool = True,
-) -> Instance:
-    """Build a full instance from raw events on a grid."""
-    workload, _ = aggregate_events(records, grid, strict=strict)
-    return Instance(
-        grid.cell_centers(), candidate_coords, workload, n_servers, capacity, grid=grid
-    )

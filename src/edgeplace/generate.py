@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, Instance, check_capacity, euclidean_fronthaul
+from .model import GridSpec, Instance, check_capacity, check_counts, euclidean_fronthaul
 
 LAYOUTS = ("random", "grid")
 WORKLOAD_MODELS = ("uniform", "gravity")
@@ -50,6 +50,7 @@ class GenSpec:
     candidates_at_cells: bool = False
 
     def __post_init__(self):
+        check_counts(self.n_cells, self.n_candidates, self.n_servers)
         check_capacity(self.capacity)
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be one of {LAYOUTS}")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import RunRow, read_instance, write_report
+from .fileio import RunRow, read_instance, write_csv, write_report
 from .generate import GenSpec, generate
 from .model import Instance, check_capacity, server_load
 from .pipeline import ALGORITHMS, SolverConfig, solve
@@ -196,24 +196,9 @@ def aggregate_rows(rows: list[RunRow]) -> list[AggregateRow]:
 
 
 def write_summary(aggregates: list[AggregateRow], path) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for a in aggregates:
-        lines.append(
-            ",".join(
-                [
-                    a.algo,
-                    repr(float(a.capacity)),
-                    repr(a.cost_mean),
-                    repr(a.cost_min),
-                    repr(a.cost_max),
-                    repr(a.spread_mean),
-                    repr(a.spread_min),
-                    repr(a.spread_max),
-                    repr(a.load_ratio_mean),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, SUMMARY_COLUMNS, (
+        [a.algo, *(repr(float(getattr(a, c))) for c in SUMMARY_COLUMNS[1:])] for a in aggregates
+    ))
 
 
 def check_jobs(jobs: int) -> int:

@@ -41,7 +41,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Row-major rectangular grid of square cells; used for grid layouts and event binning."""
+    """Row-major rectangular grid of square cells; used for grid layouts."""
 
     rows: int
     cols: int
@@ -75,6 +75,14 @@ def euclidean_fronthaul(cell_coords: np.ndarray, candidate_coords: np.ndarray) -
     """Euclidean distance from every cell to every candidate location."""
     diff = cell_coords[:, None, :] - candidate_coords[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
+
+
+def check_counts(n_cells: int, n_candidates: int, n_servers: int) -> None:
+    """At least one server, and no more servers than candidate locations or cells."""
+    if not 1 <= n_servers <= n_candidates:
+        raise ValueError("need 1 <= n_servers <= n_candidates")
+    if n_servers > n_cells:
+        raise ValueError("need n_servers <= n_cells")
 
 
 def check_capacity(capacity: float) -> None:
@@ -132,10 +140,7 @@ class Instance:
             raise ValueError(
                 f"workload upper-triangle total must be 1 (within {NORMALIZATION_TOL}), got {upper_total!r}"
             )
-        if not 1 <= self.n_servers <= cands.shape[0]:
-            raise ValueError("need 1 <= n_servers <= n_candidates")
-        if self.n_servers > n:
-            raise ValueError("need n_servers <= n_cells")
+        check_counts(n, cands.shape[0], self.n_servers)
         check_capacity(self.capacity)
         if self.fronthaul is None:
             d = euclidean_fronthaul(cells, cands)
@@ -241,11 +246,8 @@ def validate(instance: Instance, assignment: Assignment) -> Violation | None:
         raise MalformedAssignmentError("duplicate server location")
     if len(locs) != instance.n_servers:
         return Violation("server-count", len(locs))
-    loc_set = set(locs)
-    for i, l in enumerate(cmap):
-        if int(l) not in loc_set:
-            return Violation("cell-location", i)
-    return None
+    outside = np.flatnonzero(~np.isin(cmap, locs))
+    return Violation("cell-location", int(outside[0])) if outside.size else None
 
 
 def cellset_load(workload: np.ndarray, cells: np.ndarray) -> float:

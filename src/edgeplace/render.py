@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_csv
 from .harness import AggregateRow
 from .model import Assignment, Instance
 
@@ -139,11 +140,9 @@ def plot_curves(aggregates: list[AggregateRow], out_dir) -> list[Path]:
             hi = getattr(a, f"{metric}_max")
             series.setdefault(a.algo, []).append((a.capacity, mean, lo, hi))
         csv_path = out_dir / f"{metric}_vs_capacity.csv"
-        lines = [f"algo,capacity,{metric}_mean,{metric}_min,{metric}_max"]
-        for name, pts in sorted(series.items()):
-            for x, mean, lo, hi in pts:
-                lines.append(f"{name},{repr(float(x))},{repr(mean)},{repr(lo)},{repr(hi)}")
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns = ("algo", "capacity", f"{metric}_mean", f"{metric}_min", f"{metric}_max")
+        rows = ([name, *(repr(float(v)) for v in pt)] for name, pts in sorted(series.items()) for pt in pts)
+        write_csv(csv_path, columns, rows)
         svg_path = out_dir / f"{metric}_vs_capacity.svg"
         svg_path.write_text(_curve_svg(series, metric), encoding="utf-8")
         written += [csv_path, svg_path]

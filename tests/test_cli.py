@@ -98,6 +98,10 @@ def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
         ("sweep --instance {nope} --capacities 2 --out-dir {tmp}", "capacity must lie in (0, 1]"),
         ("sweep --instance {nope} --loc-sets 0 --out-dir {tmp}", "seed counts must be >= 1"),
         ("sweep --instance {nope} --algos FOO --out-dir {tmp}", "unknown algorithm 'FOO'"),
+        ("gen --cells 20 --candidates 5 --servers 0 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
+        ("gen --cells 20 --candidates 5 --servers 9 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
+        ("gen --cells 3 --candidates 5 --servers 4 --capacity 0.5 --out {nope}", "need n_servers <= n_cells"),
+        ("sweep --cells 20 --candidates 5 --servers 0 --capacity 0.5 --out-dir {tmp}", "need 1 <= n_servers"),
     ],
 )
 def test_bad_parameter_is_usage_error(tmp_path, capsys, command, message):
@@ -179,6 +183,16 @@ def test_sweep_config_generator_defaults_and_unknown_key(tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "n_initial" in capsys.readouterr().err
+
+
+def test_sweep_config_bad_server_count_is_usage_error(tmp_path, capsys):
+    config = {"source": {"n_cells": 20, "n_candidates": 5, "n_servers": 9}, "n_location_sets": 1, "n_initials": 1}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "need 1 <= n_servers <= n_candidates" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_oracle_command(tmp_path, capsys):

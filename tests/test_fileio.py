@@ -1,23 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edgeplace.fileio import (
-    EventRecord,
     ParseError,
     RunRow,
     SchemaError,
-    aggregate_events,
-    instance_from_events,
     read_assignment,
-    read_events,
     read_instance,
     read_report,
     write_assignment,
-    write_events,
     write_instance,
     write_report,
 )
@@ -235,132 +228,6 @@ class TestReport:
             read_report(p)
 
 
-class TestEvents:
-    def test_single_record_single_cell(self):
-        grid = GridSpec(2, 2, 1.0)
-        w, dropped = aggregate_events(
-            [EventRecord(0.5, 0.5, 0.2, 0.3, weight=7.0)], grid
-        )
-        assert dropped == 0
-        assert w[0, 0] == pytest.approx(1.0)
-        assert np.triu(w).sum() == pytest.approx(1.0)
-
-    def test_symmetric_accumulation(self):
-        grid = GridSpec(1, 2, 1.0)
-        records = [
-            EventRecord(0.5, 0.5, 1.5, 0.5, weight=1.0),
-            EventRecord(1.5, 0.5, 0.5, 0.5, weight=1.0),
-        ]
-        w, _ = aggregate_events(records, grid)
-        assert w[0, 1] == pytest.approx(1.0)
-        assert w[1, 0] == pytest.approx(1.0)
-        assert w[0, 0] == 0.0
-
-    def test_matches_two_pass_reference(self):
-        rng = np.random.default_rng(7)
-        grid = GridSpec(4, 5, 0.25, origin=(-0.5, 0.25))
-        x0, y0, x1, y1 = grid.bounds()
-        records = [
-            EventRecord(
-                float(rng.uniform(x0, x1)),
-                float(rng.uniform(y0, y1)),
-                float(rng.uniform(x0, x1)),
-                float(rng.uniform(y0, y1)),
-                weight=float(rng.uniform(0.1, 5.0)),
-            )
-            for _ in range(10_000)
-        ]
-        w, dropped = aggregate_events(records, grid)
-        assert dropped == 0
-
-        # independent reference: bin with plain arithmetic into a dict
-        def ref_bin(x, y):
-            col = int((x - grid.origin[0]) // grid.cell_size)
-            row = int((y - grid.origin[1]) // grid.cell_size)
-            col = min(col, grid.cols - 1)
-            row = min(row, grid.rows - 1)
-            return row * grid.cols + col
-
-        acc = {}
-        for rec in records:
-            a, b = ref_bin(rec.ax, rec.ay), ref_bin(rec.bx, rec.by)
-            key = (min(a, b), max(a, b))
-            acc[key] = acc.get(key, 0.0) + rec.weight
-        total = sum(acc.values())
-        ref = np.zeros((grid.n_cells, grid.n_cells))
-        for (i, j), v in acc.items():
-            ref[i, j] = v / total
-            ref[j, i] = v / total
-        assert np.allclose(w, ref, atol=1e-15)
-
-    def test_out_of_grid_strict_vs_lenient(self):
-        grid = GridSpec(1, 1, 1.0)
-        bad = [EventRecord(0.5, 0.5, 3.0, 0.5, weight=1.0, line=42),
-               EventRecord(0.5, 0.5, 0.5, 0.5, weight=2.0)]
-        with pytest.raises(ValueError, match="line 42"):
-            aggregate_events(bad, grid, strict=True)
-        w, dropped = aggregate_events(bad, grid, strict=False)
-        assert dropped == 1
-        assert w[0, 0] == pytest.approx(1.0)
-
-    def test_top_right_boundary_clamps_inward(self):
-        grid = GridSpec(2, 2, 1.0)
-        w, _ = aggregate_events([EventRecord(2.0, 2.0, 2.0, 2.0, weight=1.0)], grid)
-        assert w[3, 3] == pytest.approx(1.0)
-
-    def test_translation_consistency(self):
-        rng = np.random.default_rng(9)
-        grid = GridSpec(3, 3, 1.0)
-        records = [
-            EventRecord(*(float(v) for v in rng.uniform(0.0, 3.0, size=4)), weight=1.0)
-            for _ in range(500)
-        ]
-        shifted_grid = GridSpec(3, 3, 1.0, origin=(10.0, 20.0))
-        shifted = [
-            EventRecord(r.ax + 10.0, r.ay + 20.0, r.bx + 10.0, r.by + 20.0, weight=r.weight)
-            for r in records
-        ]
-        w0, _ = aggregate_events(records, grid)
-        w1, _ = aggregate_events(shifted, shifted_grid)
-        assert np.array_equal(w0, w1)
-
-    def test_events_csv_round_trip(self, tmp_path):
-        records = [
-            EventRecord(0.1, 0.2, 0.3, 0.4, weight=1.5),
-            EventRecord(0.5, 0.6, 0.7, 0.8, weight=2.0),
-        ]
-        p = tmp_path / "events.csv"
-        write_events(records, p)
-        back = read_events(p)
-        assert [(r.ax, r.ay, r.bx, r.by, r.weight) for r in back] == [
-            (r.ax, r.ay, r.bx, r.by, r.weight) for r in records
-        ]
-        assert back[0].line == 2
-
-    @pytest.mark.parametrize(
-        "fields",
-        [(math.inf, 0.5, 0.5, 0.5, 1.0), (0.5, math.nan, 0.5, 0.5, 1.0), (0.5, 0.5, 0.5, 0.5, math.inf)],
-        ids=["inf-coordinate", "nan-coordinate", "inf-weight"],
-    )
-    def test_record_rejects_non_finite_field(self, fields):
-        # an inf coordinate used to overflow in aggregate_events, a NaN one
-        # to fail float->int conversion there, an inf weight to give NaN workload
-        with pytest.raises(ValueError, match="non-finite"):
-            EventRecord(*fields)
-
-    def test_instance_from_events_passes_validation(self):
-        rng = np.random.default_rng(11)
-        grid = GridSpec(3, 3, 1.0)
-        records = [
-            EventRecord(*(float(v) for v in rng.uniform(0.0, 3.0, size=4)), weight=1.0)
-            for _ in range(200)
-        ]
-        cands = rng.uniform(0.0, 3.0, size=(5, 2))
-        inst = instance_from_events(records, grid, 2, 0.3, cands)
-        assert inst.n_cells == 9
-        assert inst.grid == grid
-
-
 # ---------------------------------------------------------------------------
 # fuzzing: malformed text may only raise the readers' named errors
 
@@ -371,7 +238,6 @@ VALID_INSTANCE = (
     "fronthaul\n0.1 0.2\n0.3 0.4\nend\n"
 )
 VALID_ASSIGNMENT = "kind,index,location\nserver,0,1\ncell,0,1\ncell,1,1\n"
-VALID_EVENTS = "ax,ay,bx,by,weight\n0.1,0.2,0.3,0.4,1.5\n0.5,0.6,0.7,0.8,2.0\n"
 VALID_REPORT = (
     "algo,capacity,loc_seed,init_seed,cost,spread,max_load,min_load,wall_ms\n"
     "RAND,0.05,0,0,0.9,1.2,0.1,0.05,3.250\nKMED,0.05,0,0,0.8,0.7,0.2,0.01,11.000\n"
@@ -431,15 +297,8 @@ class TestFuzzFindings:
         with pytest.raises(ParseError, match="line 3"):
             read_assignment(p)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_event_names_line(self, tmp_path, value):
-        p = tmp_path / "events.csv"
-        p.write_text(VALID_EVENTS.replace("1.5", value).replace("0.7", value))
-        with pytest.raises(ParseError, match="line 2: non-finite"):
-            read_events(p)
-
-    CSV_READERS = [(read_assignment, VALID_ASSIGNMENT), (read_events, VALID_EVENTS), (read_report, VALID_REPORT)]
-    CSV_IDS = ["assignment", "events", "report"]
+    CSV_READERS = [(read_assignment, VALID_ASSIGNMENT), (read_report, VALID_REPORT)]
+    CSV_IDS = ["assignment", "report"]
 
     @pytest.mark.parametrize("reader, valid", CSV_READERS, ids=CSV_IDS)
     def test_field_over_csv_limit_names_line(self, tmp_path, reader, valid):
@@ -483,11 +342,6 @@ class TestReaderFuzz:
     @given(text=fuzz_text(VALID_ASSIGNMENT))
     def test_read_assignment(self, tmp_path, text):
         self.read(read_assignment, text, tmp_path)
-
-    @FUZZ
-    @given(text=fuzz_text(VALID_EVENTS))
-    def test_read_events(self, tmp_path, text):
-        self.read(read_events, text, tmp_path)
 
     @FUZZ
     @given(text=fuzz_text(VALID_INSTANCE))
@@ -540,6 +394,10 @@ class TestSectionErrors:
             ("0 1 0.5", "0 " + "9" * 30 + " 0.5", 15),
             ("0.75 0.25", "0.7_5 0.25", 9),
             ("0.1 0.2", "0.1 0.2 # note", 18),
+            ("cells 2", "cellsX 2", 2),
+            ("grid 1 2 0.5 0.0 0.0", "gridX 1 2 0.5 0.0 0.0", 6),
+            ("cell_coords", "cell_coordsXYZ", 7),
+            ("end", "endless", 20),
         ],
     )
     def test_spellings_outside_the_format_name_line(self, tmp_path, old, new, line):

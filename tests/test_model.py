@@ -10,6 +10,7 @@ from edgeplace.model import (
     GridSpec,
     Instance,
     MalformedAssignmentError,
+    Violation,
     cost,
     cost_pairwise,
     euclidean_fronthaul,
@@ -112,6 +113,8 @@ class TestValidate:
         assert report is not None
         assert report.constraint == "cell-location"
         assert report.index == 1
+        # with two cells outside the server set, the first one is reported
+        assert validate(inst, Assignment((0, 1), np.array([2, 2]))) == Violation("cell-location", 0)
 
     def test_duplicate_server_location_is_malformed(self):
         inst = two_cell_instance()
