@@ -3,13 +3,17 @@
 Subcommands: ``gen``, ``solve``, ``sweep``, ``oracle``, ``render``,
 ``plot-curves``. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 ``EDGEPLACE_OUT_DIR`` supplies the default output directory.
+
+An option's ``dest`` names the library parameter it sets, and an option left
+out is not passed on, so the library's default applies. ``sweep`` takes the
+fields of its JSON ``--config``, then the options set on the command line;
+its generator source takes the first of its capacities.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,8 +25,8 @@ from .fileio import (
     write_assignment,
     write_instance,
 )
-from .generate import GenSpec, generate
-from .harness import DEFAULT_CAPACITIES, SweepSpec, aggregate_rows, check_jobs, run_sweep
+from .generate import LAYOUTS, WORKLOAD_MODELS, GenSpec, generate
+from .harness import SweepSpec, aggregate_rows, check_jobs, run_sweep
 from .model import GridSpec
 from .oracle import enumerate_assignments
 from .pipeline import ALGORITHMS, SolverConfig, solve
@@ -31,6 +35,13 @@ from .render import plot_curves, render_map
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _usage_errors(build):
@@ -49,50 +60,64 @@ def default_out_dir() -> Path:
     return Path(os.environ.get("EDGEPLACE_OUT_DIR", "."))
 
 
-def add_gen_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cells", type=int, help="number of cells")
-    parser.add_argument("--candidates", type=int, help="number of candidate locations")
-    parser.add_argument("--servers", type=int, help="number of servers")
-    parser.add_argument("--capacity", type=float, help="per-server capacity (fraction of total demand)")
-    parser.add_argument("--seed", type=int, default=0, help="generator / solver seed")
-    parser.add_argument("--layout", choices=["random", "grid"], default="random")
-    parser.add_argument("--grid-rows", type=int)
-    parser.add_argument("--grid-cols", type=int)
-    parser.add_argument("--grid-cell-size", type=float)
-    parser.add_argument("--workload", choices=["uniform", "gravity"], default="uniform")
-    parser.add_argument("--corr-length", type=float, help="gravity decay length (inf allowed)")
-    parser.add_argument("--activity-sigma", type=float, default=1.0)
-    parser.add_argument("--candidates-at-cells", action="store_true")
+def _fields(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
-@_usage_errors
-def genspec_from_args(args) -> GenSpec:
-    required = ("cells", "candidates", "servers", "capacity")
-    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+def _given(args, names) -> dict:
+    """The options among ``names`` that are set on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _config_fields(cls, payload, where: str) -> dict:
+    """The non-null keys of the JSON object ``payload``, which must be fields of ``cls``."""
+    if not isinstance(payload, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    unknown = sorted(set(payload).difference(_fields(cls)))
+    if unknown:
+        raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return {k: v for k, v in payload.items() if v is not None}
+
+
+def _build(cls, fields: dict, what: str):
+    """``cls(**fields)``; a missing field that ``cls`` does not default is a usage error."""
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in fields and f.default is dataclasses.MISSING]
     if missing:
-        raise UsageError(f"missing generator options: {', '.join(missing)}")
-    grid = None
-    if args.layout == "grid":
-        if args.grid_rows is None or args.grid_cols is None or args.grid_cell_size is None:
-            raise UsageError("grid layout needs --grid-rows, --grid-cols, --grid-cell-size")
-        grid = GridSpec(args.grid_rows, args.grid_cols, args.grid_cell_size)
-    return GenSpec(
-        n_cells=args.cells,
-        n_candidates=args.candidates,
-        n_servers=args.servers,
-        capacity=args.capacity,
-        seed=args.seed,
-        layout=args.layout,
-        grid=grid,
-        workload_model=args.workload,
-        corr_length=args.corr_length,
-        activity_sigma=args.activity_sigma,
-        candidates_at_cells=args.candidates_at_cells,
-    )
+        raise UsageError(f"missing {what} options: {', '.join(missing)}")
+    return cls(**fields)
+
+
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
+
+
+def add_gen_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cells", dest="n_cells", type=int, help="number of cells")
+    parser.add_argument("--candidates", dest="n_candidates", type=int, help="number of candidate locations")
+    parser.add_argument("--servers", dest="n_servers", type=int, help="number of servers")
+    parser.add_argument("--seed", type=int, help="generator seed")
+    parser.add_argument("--layout", choices=LAYOUTS)
+    parser.add_argument("--grid-rows", dest="rows", type=int)
+    parser.add_argument("--grid-cols", dest="cols", type=int)
+    parser.add_argument("--grid-cell-size", dest="cell_size", type=float)
+    parser.add_argument("--workload", dest="workload_model", choices=WORKLOAD_MODELS)
+    parser.add_argument("--corr-length", type=float, help="gravity decay length (inf allowed)")
+    parser.add_argument("--activity-sigma", type=float)
+
+
+def genspec_from_args(args, fields: dict) -> GenSpec:
+    """A GenSpec of ``fields`` with the generator options set on the command line applied."""
+    fields = {**fields, **_given(args, _fields(GenSpec))}
+    grid = {**_config_fields(GridSpec, fields.pop("grid", {}), "source.grid"), **_given(args, _fields(GridSpec))}
+    if grid:
+        if "origin" in grid:
+            grid["origin"] = tuple(grid["origin"])
+        fields["grid"] = _build(GridSpec, grid, "grid")
+    return _build(GenSpec, fields, "generator")
 
 
 def cmd_gen(args) -> int:
-    inst = generate(genspec_from_args(args))
+    inst = generate(_usage_errors(genspec_from_args)(args, {}))
     out = Path(args.out) if args.out else default_out_dir() / "instance.txt"
     write_instance(inst, out)
     print(f"wrote {out} ({inst.n_cells} cells, {inst.n_candidates} candidates)")
@@ -100,10 +125,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    config = _usage_errors(SolverConfig)(args.algo, args.seed, args.kappa, args.epsilon)
+    config = _usage_errors(SolverConfig)(**_given(args, _fields(SolverConfig)))
     inst = read_instance(args.instance)
     result = solve(inst, config)
-    print(f"algo={args.algo} cost={result.objectives.cost!r} spread={result.objectives.spread!r}")
+    print(f"algo={config.algorithm} cost={result.objectives.cost!r} spread={result.objectives.spread!r}")
     if args.trace:
         for rec in result.trace:
             print(f"  phase={rec.name} cost={rec.cost!r} spread={rec.spread!r} events={len(rec.events)}")
@@ -115,61 +140,35 @@ def cmd_solve(args) -> int:
 
 @_usage_errors
 def sweepspec_from_args(args) -> SweepSpec:
-    if args.config:
-        return _sweepspec_from_config(Path(args.config))
-    source = args.instance or genspec_from_args(args)
-    capacities = tuple(float(c) for c in args.capacities.split(",")) if args.capacities else DEFAULT_CAPACITIES
-    return SweepSpec(
-        source=source,
-        capacities=capacities,
-        n_location_sets=args.loc_sets,
-        n_initials=args.initials,
-        algorithms=tuple(args.algos.split(",")) if args.algos else ALGORITHMS,
-        master_seed=args.master_seed,
-        kappa=args.kappa,
-        epsilon=args.epsilon,
-    )
-
-
-# GenSpec has no default for these; a config's generator spec may omit them.
-_SOURCE_DEFAULTS = {"capacity": 0.05, "seed": 0}
-
-
-def _config_fields(cls, payload, where: str) -> dict:
-    """``payload`` as keyword arguments for ``cls``; unknown keys are a usage error."""
-    if not isinstance(payload, dict):
-        raise UsageError(f"{where} must be a JSON object")
-    unknown = sorted(set(payload) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return dict(payload)
-
-
-def _sweepspec_from_config(path: Path) -> SweepSpec:
-    fields = _config_fields(SweepSpec, json.loads(path.read_text(encoding="utf-8")), "sweep config")
-    source = fields.get("source")
-    if isinstance(source, dict):
-        source = {**_SOURCE_DEFAULTS, **_config_fields(GenSpec, source, "source")}
-        if source.get("grid") is not None:
-            grid = _config_fields(GridSpec, source["grid"], "source.grid")
-            if "origin" in grid:
-                grid["origin"] = tuple(grid["origin"])
-            source["grid"] = GridSpec(**grid)
-        fields["source"] = GenSpec(**source)
-    if "epsilon" in fields:  # a number, "inf", or null for no cap
-        fields["epsilon"] = math.inf if fields["epsilon"] is None else float(fields["epsilon"])
+    """The fields of ``--config``, then the options set on the command line."""
+    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    fields = {**_config_fields(SweepSpec, config, "sweep config"), **_given(args, _fields(SweepSpec))}
     if "capacities" in fields:
         fields["capacities"] = tuple(float(c) for c in fields["capacities"])
     if "algorithms" in fields:
         fields["algorithms"] = tuple(fields["algorithms"])
-    return SweepSpec(**fields)
+    if "epsilon" in fields:  # JSON spells infinity "inf"
+        fields["epsilon"] = float(fields["epsilon"])
+    source = fields.pop("source", {})
+    if isinstance(source, str):
+        generator = _given(args, _fields(GenSpec) + _fields(GridSpec))
+        if generator:
+            raise UsageError(f"generator options ({', '.join(generator)}) do not apply to an instance file")
+        return SweepSpec(source, **fields)
+    source = _config_fields(GenSpec, source, "source")
+    if "capacity" in source:
+        raise UsageError("a sweep's generator source takes its capacity from the sweep's capacities")
+    spec = SweepSpec("", **fields)  # the sweep's own fields are checked before its source is built
+    return dataclasses.replace(spec, source=genspec_from_args(args, {**source, "capacity": spec.capacities[0]}))
 
 
 def cmd_sweep(args) -> int:
-    jobs = _usage_errors(check_jobs)(args.jobs)
+    options = _given(args, ["jobs"])
+    if options:
+        _usage_errors(check_jobs)(options["jobs"])
     spec = sweepspec_from_args(args)
     out_dir = Path(args.out_dir) if args.out_dir else default_out_dir() / "sweep"
-    report = run_sweep(spec, out_dir=out_dir, jobs=jobs)
+    report = run_sweep(spec, out_dir=out_dir, **options)
     print(f"wrote {out_dir / 'runs.csv'} ({len(report.rows)} runs)")
     print(f"wrote {out_dir / 'summary.csv'} ({len(report.aggregates)} aggregate rows)")
     return 0
@@ -177,7 +176,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = read_instance(args.instance)
-    result = enumerate_assignments(inst, budget=args.budget)
+    result = enumerate_assignments(inst, **_given(args, ["budget"]))
     print(f"min_cost={result.min_cost!r}")
     print(f"min_spread={result.min_spread!r}")
     print(f"pareto_size={len(result.pareto)}")
@@ -211,42 +210,43 @@ def cmd_plot_curves(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="edgeplace", description=__doc__)
+    parser = _Parser(prog="edgeplace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic instance")
     add_gen_arguments(p)
+    p.add_argument("--capacity", type=float, help="per-server capacity (fraction of total demand)")
     p.add_argument("--out", help="instance file to write")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="run one algorithm on an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algo", choices=ALGORITHMS, default="KMED_FM_HUNG")
+    p.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, default="KMED_FM_HUNG")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kappa", type=float, default=1e-4)
-    p.add_argument("--epsilon", type=float, default="inf", help="spread slack for refinement ('inf' allowed)")
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--epsilon", type=float, help="spread slack for refinement ('inf' allowed)")
     p.add_argument("--trace", action="store_true", help="print per-phase objectives")
     p.add_argument("--out", help="assignment CSV to write")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="run the replication protocol")
     add_gen_arguments(p)
-    p.add_argument("--instance", help="instance file (instead of generator options)")
-    p.add_argument("--config", help="JSON file mirroring the sweep spec")
-    p.add_argument("--capacities", help="comma-separated capacities")
-    p.add_argument("--loc-sets", type=int, default=10)
-    p.add_argument("--initials", type=int, default=5)
-    p.add_argument("--algos", help="comma-separated algorithm names")
-    p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--kappa", type=float, default=1e-4)
-    p.add_argument("--epsilon", type=float, default="inf")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--instance", dest="source", help="instance file (instead of generator options)")
+    p.add_argument("--config", help="JSON file of sweep spec fields")
+    p.add_argument("--capacities", type=_comma_list, help="comma-separated capacities")
+    p.add_argument("--loc-sets", dest="n_location_sets", type=int)
+    p.add_argument("--initials", dest="n_initials", type=int)
+    p.add_argument("--algos", dest="algorithms", type=_comma_list, help="comma-separated algorithm names")
+    p.add_argument("--master-seed", type=int)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--jobs", type=int, help="parallel worker processes")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="exhaustive optima for a tiny instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int)
     p.add_argument("--out", help="JSON file for the result")
     p.set_defaults(func=cmd_oracle)
 
@@ -265,13 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # --help
+        return 0 if e.code in (0, None) else 1
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

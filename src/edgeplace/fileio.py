@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -327,22 +328,25 @@ def write_report(rows: Iterable[RunRow], path) -> None:
 
 
 def read_report(path) -> list[RunRow]:
+    """The rows of a report CSV; ParseError naming the line of a malformed
+    or non-finite field."""
     out = []
     for line_no, row in _csv_rows(path, REPORT_COLUMNS, "report"):
         try:
-            out.append(
-                RunRow(
-                    algo=row[0],
-                    capacity=float(row[1]),
-                    loc_seed=int(row[2]),
-                    init_seed=int(row[3]),
-                    cost=float(row[4]),
-                    spread=float(row[5]),
-                    max_load=float(row[6]),
-                    min_load=float(row[7]),
-                    wall_ms=float(row[8]),
-                )
+            r = RunRow(
+                algo=row[0],
+                capacity=float(row[1]),
+                loc_seed=int(row[2]),
+                init_seed=int(row[3]),
+                cost=float(row[4]),
+                spread=float(row[5]),
+                max_load=float(row[6]),
+                min_load=float(row[7]),
+                wall_ms=float(row[8]),
             )
         except ValueError:
             raise ParseError(line_no, f"bad values in {row!r}") from None
+        if not all(map(math.isfinite, (r.capacity, r.cost, r.spread, r.max_load, r.min_load, r.wall_ms))):
+            raise ParseError(line_no, f"non-finite value in {row!r}")
+        out.append(r)
     return out

@@ -9,7 +9,7 @@ stream is a numpy PCG64 generator seeded with ``GenSpec.seed`` and consumed
 in this fixed order:
 
 1. cell coordinates (random layout only; grid layouts draw nothing),
-2. candidate coordinates (or the co-location subset choice),
+2. candidate coordinates,
 3. workload values (uniform: upper-triangle weights; gravity: the per-cell
    activity vector).
 """
@@ -32,22 +32,20 @@ class GenSpec:
 
     ``corr_length`` is the distance scale of the gravity decay term
     (``math.inf`` disables decay entirely); ``activity_sigma`` is the
-    lognormal sigma of per-cell activity. ``candidates_at_cells`` co-locates
-    candidate locations with a random subset of base stations instead of
-    drawing fresh uniform points.
+    lognormal sigma of per-cell activity. A uniform workload needs the
+    random layout.
     """
 
     n_cells: int
     n_candidates: int
     n_servers: int
     capacity: float
-    seed: int
+    seed: int = 0
     layout: str = "random"
     grid: GridSpec | None = None
     workload_model: str = "uniform"
     corr_length: float | None = None
     activity_sigma: float = 1.0
-    candidates_at_cells: bool = False
 
     def __post_init__(self):
         check_counts(self.n_cells, self.n_candidates, self.n_servers)
@@ -61,13 +59,13 @@ class GenSpec:
                 raise ValueError("grid layout needs a GridSpec")
             if self.grid.n_cells != self.n_cells:
                 raise ValueError("grid rows*cols must equal n_cells")
+        if self.workload_model == "uniform" and self.layout != "random":
+            raise ValueError("a uniform workload needs the random layout")
         if self.workload_model == "gravity":
             if self.corr_length is None or not self.corr_length > 0:
                 raise ValueError("gravity model needs corr_length > 0 (math.inf allowed)")
             if not self.activity_sigma > 0:
                 raise ValueError("activity_sigma must be positive")
-        if self.candidates_at_cells and self.n_candidates > self.n_cells:
-            raise ValueError("co-located candidates need n_candidates <= n_cells")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -84,27 +82,25 @@ def _cell_coords(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.random((spec.n_cells, 2))
 
 
-def _candidate_coords(spec: GenSpec, rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:
-    if spec.candidates_at_cells:
-        idx = np.sort(rng.choice(spec.n_cells, size=spec.n_candidates, replace=False))
-        return cells[idx]
-    if spec.layout == "grid":
-        x0, y0, x1, y1 = spec.grid.bounds()
-    else:
-        x0, y0, x1, y1 = 0.0, 0.0, 1.0, 1.0
-    pts = rng.random((spec.n_candidates, 2))
-    return np.column_stack([x0 + pts[:, 0] * (x1 - x0), y0 + pts[:, 1] * (y1 - y0)])
+def uniform_points(rng: np.random.Generator, n: int, bounds: tuple[float, float, float, float]) -> np.ndarray:
+    """``n`` points drawn uniformly in the box ``bounds = (x0, y0, x1, y1)``."""
+    x0, y0, x1, y1 = bounds
+    u = rng.random((n, 2))
+    return np.column_stack([x0 + u[:, 0] * (x1 - x0), y0 + u[:, 1] * (y1 - y0)])
+
+
+def _candidate_coords(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
+    bounds = spec.grid.bounds() if spec.layout == "grid" else (0.0, 0.0, 1.0, 1.0)
+    return uniform_points(rng, spec.n_candidates, bounds)
 
 
 def gen_uniform(spec: GenSpec) -> Instance:
     """Geography-free instance: uniform coordinates, i.i.d. uniform pair weights."""
     if spec.workload_model != "uniform":
         raise ValueError("gen_uniform needs workload_model == 'uniform'")
-    if spec.layout != "random":
-        raise ValueError("gen_uniform needs the random-points layout")
     rng = np.random.default_rng(spec.seed)
     cells = _cell_coords(spec, rng)
-    cands = _candidate_coords(spec, rng, cells)
+    cands = _candidate_coords(spec, rng)
     n = spec.n_cells
     values = rng.random(n * (n + 1) // 2)
     w = _symmetric_from_upper(n, values / values.sum())
@@ -122,7 +118,7 @@ def gen_gravity(spec: GenSpec) -> Instance:
         raise ValueError("gen_gravity needs workload_model == 'gravity'")
     rng = np.random.default_rng(spec.seed)
     cells = _cell_coords(spec, rng)
-    cands = _candidate_coords(spec, rng, cells)
+    cands = _candidate_coords(spec, rng)
     activity = rng.lognormal(mean=0.0, sigma=spec.activity_sigma, size=spec.n_cells)
     dist = euclidean_fronthaul(cells, cells)
     if math.isinf(spec.corr_length):

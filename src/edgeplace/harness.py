@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import RunRow, read_instance, write_csv, write_report
-from .generate import GenSpec, generate
+from .generate import GenSpec, generate, uniform_points
 from .model import Instance, check_capacity, server_load
 from .pipeline import ALGORITHMS, SolverConfig, solve
 
@@ -56,18 +56,18 @@ class SweepSpec:
     n_initials: int = 5
     algorithms: tuple[str, ...] = ALGORITHMS
     master_seed: int = 0
-    kappa: float = 1e-4
-    epsilon: float = math.inf
+    kappa: float = SolverConfig.kappa
+    epsilon: float = SolverConfig.epsilon
 
     def __post_init__(self):
+        if not self.capacities or not self.algorithms:
+            raise ValueError("a sweep needs at least one capacity and one algorithm")
         for c in self.capacities:
             check_capacity(c)
         if self.n_location_sets < 1 or self.n_initials < 1:
             raise ValueError("seed counts must be >= 1")
         for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
-        SolverConfig(ALGORITHMS[0], seed=0, kappa=self.kappa, epsilon=self.epsilon)  # validates kappa, epsilon
+            SolverConfig(a, seed=0, kappa=self.kappa, epsilon=self.epsilon)
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 
@@ -112,9 +112,7 @@ def _service_bounds(instance: Instance) -> tuple[float, float, float, float]:
 def candidate_variant(instance: Instance, master_seed: int, loc_seed: int) -> Instance:
     """Base instance with candidate locations redrawn for one location-set seed."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 1, loc_seed]))
-    x0, y0, x1, y1 = _service_bounds(instance)
-    pts = rng.random((instance.n_candidates, 2))
-    cands = np.column_stack([x0 + pts[:, 0] * (x1 - x0), y0 + pts[:, 1] * (y1 - y0)])
+    cands = uniform_points(rng, instance.n_candidates, _service_bounds(instance))
     return Instance(
         instance.cell_coords,
         cands,

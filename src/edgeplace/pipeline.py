@@ -33,12 +33,12 @@ ALGORITHMS = ("RAND", "KMED", "FM_HUNG", "KMED_FM_HUNG")
 class SolverConfig:
     algorithm: str
     seed: int
-    kappa: float = 1e-4
+    kappa: float = SwapParams.kappa
     epsilon: float = math.inf  # allowed relative spread growth during cost refinement
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         SwapParams(kappa=self.kappa)  # validates kappa
         if not self.epsilon >= 0:  # rejects NaN too
             raise ValueError("epsilon must be >= 0 (math.inf allowed)")

@@ -101,7 +101,9 @@ def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
         ("gen --cells 20 --candidates 5 --servers 0 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
         ("gen --cells 20 --candidates 5 --servers 9 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
         ("gen --cells 3 --candidates 5 --servers 4 --capacity 0.5 --out {nope}", "need n_servers <= n_cells"),
-        ("sweep --cells 20 --candidates 5 --servers 0 --capacity 0.5 --out-dir {tmp}", "need 1 <= n_servers"),
+        ("sweep --cells 20 --candidates 5 --servers 0 --out-dir {tmp}", "need 1 <= n_servers"),
+        ("gen --layout grid --grid-rows 2 --grid-cols 2 --grid-cell-size 0.1 --workload uniform "
+         "--cells 4 --candidates 2 --servers 1 --capacity 0.5 --out {nope}", "a uniform workload needs the random layout"),
     ],
 )
 def test_bad_parameter_is_usage_error(tmp_path, capsys, command, message):
@@ -192,6 +194,43 @@ def test_sweep_config_bad_server_count_is_usage_error(tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "need 1 <= n_servers <= n_candidates" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def write_config(tmp_path, config):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def test_sweep_options_override_config(instance_file, tmp_path):
+    config = {"source": str(instance_file), "capacities": [0.15], "n_location_sets": 1, "n_initials": 1,
+              "algorithms": ["RAND"]}
+    argv = ["sweep", "--config", str(write_config(tmp_path, config)), "--loc-sets", "3", "--algos", "KMED"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    rows = read_report(tmp_path / "out" / "runs.csv")
+    assert [(r.algo, r.loc_seed) for r in rows] == [("KMED", 0), ("KMED", 1), ("KMED", 2)]
+
+
+def test_generator_option_with_instance_source_is_usage_error(instance_file, tmp_path, capsys):
+    rc = main(["sweep", "--instance", str(instance_file), "--cells", "9", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error: generator options (n_cells) do not apply")
+    assert not (tmp_path / "out").exists()
+
+
+def test_generator_sweep_takes_capacity_from_capacities(tmp_path):
+    rc = main(["sweep", "--cells", "12", "--candidates", "5", "--servers", "2", "--capacities", "0.3,0.6",
+               "--loc-sets", "1", "--initials", "1", "--algos", "KMED", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert [r.capacity for r in read_report(tmp_path / "runs.csv")] == [0.3, 0.6]
+
+
+def test_sweep_config_source_capacity_is_usage_error(tmp_path, capsys):
+    config = {"source": {"n_cells": 12, "n_candidates": 5, "n_servers": 2, "capacity": 0.9}, "n_initials": 1}
+    rc = main(["sweep", "--config", str(write_config(tmp_path, config)), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "takes its capacity from the sweep's capacities" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -227,6 +227,19 @@ class TestReport:
         with pytest.raises(ParseError):
             read_report(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 4, 5, 6, 7, 8])
+    def test_non_finite_number_rejected(self, tmp_path, column, value):
+        p = tmp_path / "report.csv"
+        write_report(self.make_rows(), p)
+        lines = p.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = value
+        lines[3] = ",".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 4: non-finite value"):
+            read_report(p)
+
 
 # ---------------------------------------------------------------------------
 # fuzzing: malformed text may only raise the readers' named errors

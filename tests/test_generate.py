@@ -102,12 +102,6 @@ class TestGenUniform:
         expected = raw / raw.sum()
         assert np.array_equal(inst.workload[np.triu_indices(spec.n_cells)], expected)
 
-    def test_colocated_candidates_subset_of_cells(self):
-        inst = gen_uniform(uniform_spec(candidates_at_cells=True, n_candidates=5))
-        cell_rows = {tuple(row) for row in inst.cell_coords}
-        for row in inst.candidate_coords:
-            assert tuple(row) in cell_rows
-
 
 class TestGenGravity:
     def test_deterministic_given_seed(self):

@@ -57,6 +57,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=match):
             small_spec(**overrides)
 
+    @pytest.mark.parametrize("overrides", [{"capacities": ()}, {"algorithms": ()}])
+    def test_rejects_a_sweep_of_nothing(self, overrides):
+        with pytest.raises(ValueError, match="at least one capacity and one algorithm"):
+            small_spec(**overrides)
+
     def test_rejects_negative_master_seed(self):
         with pytest.raises(ValueError, match="master_seed"):
             small_spec(master_seed=-5)
