@@ -12,10 +12,13 @@ its generator source takes the first of its capacities.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 from .fileio import (
@@ -69,14 +72,37 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
+def _from_json(kind, value):
+    """The non-null JSON ``value`` as a field of type ``kind``; TypeError for a
+    value of another JSON type. A float takes a number or a string that
+    ``float`` reads ("inf"), a tuple an array, and a dataclass an object."""
+    for member in typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,):
+        if typing.get_origin(member) is tuple and isinstance(value, list):
+            return tuple(_from_json(typing.get_args(member)[0], v) for v in value)
+        if type(value) is (dict if dataclasses.is_dataclass(member) else member):
+            return value
+        if member is float and type(value) in (int, str):
+            with contextlib.suppress(ValueError):
+                return float(value)
+    raise TypeError
+
+
 def _config_fields(cls, payload, where: str) -> dict:
-    """The non-null keys of the JSON object ``payload``, which must be fields of ``cls``."""
+    """The non-null keys of the JSON object ``payload``, which must be fields
+    of ``cls`` holding values of the field's type."""
     if not isinstance(payload, dict):
         raise UsageError(f"{where} must be a JSON object")
     unknown = sorted(set(payload).difference(_fields(cls)))
     if unknown:
         raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return {k: v for k, v in payload.items() if v is not None}
+    kinds, fields = typing.get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        try:
+            if payload.get(f.name) is not None:
+                fields[f.name] = _from_json(kinds[f.name], payload[f.name])
+        except TypeError:
+            raise UsageError(f"{f.name} in {where} must be {f.type}, got {payload[f.name]!r}") from None
+    return fields
 
 
 def _build(cls, fields: dict, what: str):
@@ -87,8 +113,8 @@ def _build(cls, fields: dict, what: str):
     return cls(**fields)
 
 
-def _comma_list(text: str) -> list[str]:
-    return text.split(",")
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
 
 
 def add_gen_arguments(parser: argparse.ArgumentParser) -> None:
@@ -110,8 +136,6 @@ def genspec_from_args(args, fields: dict) -> GenSpec:
     fields = {**fields, **_given(args, _fields(GenSpec))}
     grid = {**_config_fields(GridSpec, fields.pop("grid", {}), "source.grid"), **_given(args, _fields(GridSpec))}
     if grid:
-        if "origin" in grid:
-            grid["origin"] = tuple(grid["origin"])
         fields["grid"] = _build(GridSpec, grid, "grid")
     return _build(GenSpec, fields, "generator")
 
@@ -143,12 +167,6 @@ def sweepspec_from_args(args) -> SweepSpec:
     """The fields of ``--config``, then the options set on the command line."""
     config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     fields = {**_config_fields(SweepSpec, config, "sweep config"), **_given(args, _fields(SweepSpec))}
-    if "capacities" in fields:
-        fields["capacities"] = tuple(float(c) for c in fields["capacities"])
-    if "algorithms" in fields:
-        fields["algorithms"] = tuple(fields["algorithms"])
-    if "epsilon" in fields:  # JSON spells infinity "inf"
-        fields["epsilon"] = float(fields["epsilon"])
     source = fields.pop("source", {})
     if isinstance(source, str):
         generator = _given(args, _fields(GenSpec) + _fields(GridSpec))

@@ -31,18 +31,19 @@ A section or field name is matched as the whole first token of its line.
 Assignment CSV: header ``kind,index,location``; one ``server`` row per slot
 (index is the slot position) and one ``cell`` row per cell.
 
-Report CSV: header
-``algo,capacity,loc_seed,init_seed,cost,spread,max_load,min_load,wall_ms``;
-one row per run.
+Sweep CSVs: each header is its record type's field names, in order. The
+report (``runs.csv``) has one ``RunRow`` per run, ``wall_ms`` to three
+decimals; the summary (``summary.csv``) one ``AggregateRow`` per (algorithm,
+capacity), with the mean, min and max of cost and spread.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -92,12 +93,13 @@ def _csv_rows(path, columns: tuple[str, ...], name: str):
 
 
 def write_csv(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write a CSV file: the ``columns`` header, then one line per row of
-    already formatted fields (``str`` or ``int``)."""
+    """Write a CSV file: the ``columns`` header, then one line per row. A
+    float field (numpy floats too) is written in shortest round-trip form,
+    any other field as ``str`` writes it."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows([_fmt(x) if isinstance(x, (float, np.floating)) else x for x in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +291,7 @@ def read_assignment(path) -> Assignment:
 
 
 # ---------------------------------------------------------------------------
-# report format
-
-REPORT_COLUMNS = (
-    "algo",
-    "capacity",
-    "loc_seed",
-    "init_seed",
-    "cost",
-    "spread",
-    "max_load",
-    "min_load",
-    "wall_ms",
-)
+# sweep formats
 
 
 @dataclass(frozen=True)
@@ -319,34 +309,44 @@ class RunRow:
     wall_ms: float
 
 
+@dataclass(frozen=True)
+class AggregateRow:
+    """Mean/min/max of the runs of one (algorithm, capacity)."""
+
+    algo: str
+    capacity: float
+    cost_mean: float
+    cost_min: float
+    cost_max: float
+    spread_mean: float
+    spread_min: float
+    spread_max: float
+    load_ratio_mean: float
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(RunRow))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(AggregateRow))
+_REPORT_TYPES = tuple(get_type_hints(RunRow).values())  # in field order
+
+
 def write_report(rows: Iterable[RunRow], path) -> None:
-    write_csv(path, REPORT_COLUMNS, (
-        [r.algo, _fmt(r.capacity), r.loc_seed, r.init_seed, _fmt(r.cost), _fmt(r.spread),
-         _fmt(r.max_load), _fmt(r.min_load), f"{r.wall_ms:.3f}"]
-        for r in rows
-    ))
+    write_csv(path, REPORT_COLUMNS, ((*astuple(r)[:-1], f"{r.wall_ms:.3f}") for r in rows))
+
+
+def write_summary(aggregates: Iterable[AggregateRow], path) -> None:
+    write_csv(path, SUMMARY_COLUMNS, map(astuple, aggregates))
 
 
 def read_report(path) -> list[RunRow]:
-    """The rows of a report CSV; ParseError naming the line of a malformed
-    or non-finite field."""
+    """The rows of a report CSV, each field parsed by its ``RunRow`` type;
+    ParseError naming the line of a malformed or non-finite field."""
     out = []
     for line_no, row in _csv_rows(path, REPORT_COLUMNS, "report"):
         try:
-            r = RunRow(
-                algo=row[0],
-                capacity=float(row[1]),
-                loc_seed=int(row[2]),
-                init_seed=int(row[3]),
-                cost=float(row[4]),
-                spread=float(row[5]),
-                max_load=float(row[6]),
-                min_load=float(row[7]),
-                wall_ms=float(row[8]),
-            )
+            values = [kind(text) for kind, text in zip(_REPORT_TYPES, row)]
         except ValueError:
             raise ParseError(line_no, f"bad values in {row!r}") from None
-        if not all(map(math.isfinite, (r.capacity, r.cost, r.spread, r.max_load, r.min_load, r.wall_ms))):
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
             raise ParseError(line_no, f"non-finite value in {row!r}")
-        out.append(r)
+        out.append(RunRow(*values))
     return out

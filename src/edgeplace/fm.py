@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Assignment, Instance, cellset_load, spread
+from .model import Assignment, Instance, cellset_load, check_valid, spread
 
 # Upper bound on ``cost_descent``'s pair sweeps; the descent ends earlier, at
 # the first sweep that commits nothing.
@@ -246,7 +246,9 @@ def cost_descent(
     A speculative result is committed only if it strictly lowers the global
     cost and its spread stays within ``spread_cap``. Appends
     ``(cost, spread)`` to ``commit_log`` after each commit when given.
+    Raises ``ValueError`` for an invalid ``assignment``.
     """
+    check_valid(instance, assignment)
     locs = sorted(set(assignment.server_locations))
     if len(locs) < 2:
         return assignment

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, Instance, check_capacity, check_counts, euclidean_fronthaul
+from .model import GridSpec, Instance, check_capacity, check_counts, check_seed, euclidean_fronthaul
 
 LAYOUTS = ("random", "grid")
 WORKLOAD_MODELS = ("uniform", "gravity")
@@ -32,8 +32,8 @@ class GenSpec:
 
     ``corr_length`` is the distance scale of the gravity decay term
     (``math.inf`` disables decay entirely); ``activity_sigma`` is the
-    lognormal sigma of per-cell activity. A uniform workload needs the
-    random layout.
+    lognormal sigma of per-cell activity. ``grid`` is set exactly for the
+    grid layout. A uniform workload needs the random layout.
     """
 
     n_cells: int
@@ -54,11 +54,10 @@ class GenSpec:
             raise ValueError(f"layout must be one of {LAYOUTS}")
         if self.workload_model not in WORKLOAD_MODELS:
             raise ValueError(f"workload_model must be one of {WORKLOAD_MODELS}")
-        if self.layout == "grid":
-            if self.grid is None:
-                raise ValueError("grid layout needs a GridSpec")
-            if self.grid.n_cells != self.n_cells:
-                raise ValueError("grid rows*cols must equal n_cells")
+        if (self.layout == "grid") != (self.grid is not None):
+            raise ValueError("a grid is given exactly when layout is 'grid'")
+        if self.grid is not None and self.grid.n_cells != self.n_cells:
+            raise ValueError("grid rows*cols must equal n_cells")
         if self.workload_model == "uniform" and self.layout != "random":
             raise ValueError("a uniform workload needs the random layout")
         if self.workload_model == "gravity":
@@ -66,8 +65,7 @@ class GenSpec:
                 raise ValueError("gravity model needs corr_length > 0 (math.inf allowed)")
             if not self.activity_sigma > 0:
                 raise ValueError("activity_sigma must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_seed(self.seed)
 
 
 def _symmetric_from_upper(n: int, upper_values: np.ndarray) -> np.ndarray:
@@ -134,7 +132,7 @@ def gen_gravity(spec: GenSpec) -> Instance:
         w,
         spec.n_servers,
         spec.capacity,
-        grid=spec.grid if spec.layout == "grid" else None,
+        grid=spec.grid,
     )
 
 

@@ -26,24 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import RunRow, read_instance, write_csv, write_report
+from .fileio import AggregateRow, RunRow, read_instance, write_report, write_summary
 from .generate import GenSpec, generate, uniform_points
 from .model import Instance, check_capacity, server_load
 from .pipeline import ALGORITHMS, SolverConfig, solve
 
 DEFAULT_CAPACITIES = (0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
-
-SUMMARY_COLUMNS = (
-    "algo",
-    "capacity",
-    "cost_mean",
-    "cost_min",
-    "cost_max",
-    "spread_mean",
-    "spread_min",
-    "spread_max",
-    "load_ratio_mean",
-)
 
 
 @dataclass(frozen=True)
@@ -60,6 +48,7 @@ class SweepSpec:
     epsilon: float = SolverConfig.epsilon
 
     def __post_init__(self):
+        object.__setattr__(self, "capacities", tuple(map(float, self.capacities)))  # written as floats
         if not self.capacities or not self.algorithms:
             raise ValueError("a sweep needs at least one capacity and one algorithm")
         for c in self.capacities:
@@ -70,19 +59,6 @@ class SweepSpec:
             SolverConfig(a, seed=0, kappa=self.kappa, epsilon=self.epsilon)
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    algo: str
-    capacity: float
-    cost_mean: float
-    cost_min: float
-    cost_max: float
-    spread_mean: float
-    spread_min: float
-    spread_max: float
-    load_ratio_mean: float
 
 
 @dataclass
@@ -101,12 +77,7 @@ def _service_bounds(instance: Instance) -> tuple[float, float, float, float]:
     if instance.grid is not None:
         return instance.grid.bounds()
     xy = instance.cell_coords
-    return (
-        float(xy[:, 0].min()),
-        float(xy[:, 1].min()),
-        float(xy[:, 0].max()),
-        float(xy[:, 1].max()),
-    )
+    return (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
 
 
 def candidate_variant(instance: Instance, master_seed: int, loc_seed: int) -> Instance:
@@ -191,12 +162,6 @@ def aggregate_rows(rows: list[RunRow]) -> list[AggregateRow]:
             )
         )
     return out
-
-
-def write_summary(aggregates: list[AggregateRow], path) -> None:
-    write_csv(path, SUMMARY_COLUMNS, (
-        [a.algo, *(repr(float(getattr(a, c))) for c in SUMMARY_COLUMNS[1:])] for a in aggregates
-    ))
 
 
 def check_jobs(jobs: int) -> int:

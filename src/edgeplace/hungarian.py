@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, Instance
+from .model import Assignment, Instance, check_valid
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,8 @@ def _lex_smallest(cost: np.ndarray, col_of: np.ndarray, u: np.ndarray, v: np.nda
     all columns with ``v < 0`` is optimal. A virtual row ``m`` holds every
     free column and is tight where ``-v <= tol``. Rows are canonicalized in
     order by trying smaller tight columns and re-matching the displaced row.
+    The tolerance also admits near-ties, so a rewiring is kept only if it
+    does not raise the row-order total.
     """
     m, n = cost.shape
     tol = 1e-9 * (1.0 + float(np.abs(cost).max(initial=0.0)))
@@ -130,10 +132,12 @@ def _lex_smallest(cost: np.ndarray, col_of: np.ndarray, u: np.ndarray, v: np.nda
     col_of = np.append(col_of, -1)
     row_of = np.full(n, m, dtype=int)
     row_of[col_of[:m]] = np.arange(m)
+    total = _row_total(cost, col_of[:m])
     fixed = np.zeros(n, dtype=bool)
     for r in range(m):
         c_cur = int(col_of[r])
         for c in np.flatnonzero(tight[r, :c_cur] & ~fixed[:c_cur]):
+            saved = col_of.copy(), row_of.copy()
             displaced = int(row_of[c])
             row_of[c] = r
             row_of[c_cur] = -1
@@ -141,9 +145,11 @@ def _lex_smallest(cost: np.ndarray, col_of: np.ndarray, u: np.ndarray, v: np.nda
             visited[c] = True
             if _augment(displaced, tight, col_of, row_of, visited):
                 col_of[r] = c
-                break
-            row_of[c] = displaced  # a failed _augment changed nothing
-            row_of[c_cur] = r
+                rewired = _row_total(cost, col_of[:m])
+                if rewired <= total:
+                    total = rewired
+                    break
+            col_of[:], row_of[:] = saved
         fixed[col_of[r]] = True
     return col_of[:m]
 
@@ -159,12 +165,17 @@ def solve_matching(matrix: RelocationMatrix) -> dict[int, int]:
     return {server: int(col_of[r]) for r, server in enumerate(matrix.servers)}
 
 
+def _row_total(cost: np.ndarray, col_of) -> float:
+    """Total of row ``r``'s entry in column ``col_of[r]``, summed in row order."""
+    total = 0.0
+    for r, c in enumerate(col_of):
+        total += cost[r, c]
+    return float(total)
+
+
 def matching_total(matrix: RelocationMatrix, match: dict[int, int]) -> float:
     """Total relocation cost of a matching, summed in row order."""
-    total = 0.0
-    for r, server in enumerate(matrix.servers):
-        total += matrix.entries[r, match[server]]
-    return float(total)
+    return _row_total(matrix.entries, [match[server] for server in matrix.servers])
 
 
 def relocate(instance: Instance, assignment: Assignment) -> Assignment:
@@ -173,8 +184,10 @@ def relocate(instance: Instance, assignment: Assignment) -> Assignment:
     Empty server slots are re-seated on the lowest-index unused candidate
     locations so the server count is preserved. The cell partition is intact,
     so the cost is unchanged; the identity relocation is always feasible, so
-    the spread never increases.
+    the spread never increases. Raises ``ValueError`` for an invalid
+    ``assignment``.
     """
+    check_valid(instance, assignment)
     matrix = build_matrix(instance, assignment)
     match = solve_matching(matrix)
     new_map = np.empty_like(assignment.cell_to_location)

@@ -15,22 +15,17 @@ across cells, all rows in one array expression.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Assignment, Instance, spread, validate
+from .model import Assignment, Instance, check_valid, spread
+
+DEFAULT_KAPPA = 1e-4
 
 
-@dataclass(frozen=True)
-class SwapParams:
-    """``kappa`` is the minimum relative improvement for accepting a swap."""
-
-    kappa: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
+def check_kappa(kappa: float) -> None:
+    """``kappa``, the minimum relative improvement for accepting a swap, lies in (0, 1)."""
+    if not 0.0 < kappa < 1.0:
+        raise ValueError("kappa must lie in (0, 1)")
 
 
 def assign_cells(instance: Instance, locations) -> Assignment:
@@ -53,7 +48,7 @@ def assign_cells(instance: Instance, locations) -> Assignment:
 def kmedian_search(
     instance: Instance,
     initial: Assignment,
-    params: SwapParams = SwapParams(),
+    kappa: float = DEFAULT_KAPPA,
     accepted_log: list | None = None,
 ) -> Assignment:
     """Swap-based local search over location sets, first-improvement order.
@@ -64,12 +59,11 @@ def kmedian_search(
     assignment onto the final set, so the output spread never exceeds the
     input spread. Appends the spread after each accepted swap to
     ``accepted_log`` if given. Restarts the scan at most
-    ``10 * n_candidates`` times. Raises ``ValueError`` for an invalid
-    ``initial``.
+    ``10 * n_candidates`` times. Raises ``ValueError`` for a ``kappa``
+    outside (0, 1) or an invalid ``initial``.
     """
-    report = validate(instance, initial)
-    if report is not None:
-        raise ValueError(f"invalid initial assignment: {report}")
+    check_kappa(kappa)
+    check_valid(instance, initial)
     fronthaul = instance.fronthaul
     by_location = np.ascontiguousarray(fronthaul.T)
     w = instance.cell_totals
@@ -85,7 +79,7 @@ def kmedian_search(
             # pairwise order, the order of the 1D ``(d * w).sum()`` over one
             # location set, so every score equals that set's spread bit for bit.
             scores = (np.minimum(d_rest, by_location[closed]) * w).sum(axis=1)
-            passing = np.flatnonzero(scores < (1.0 - params.kappa) * current_spread)
+            passing = np.flatnonzero(scores < (1.0 - kappa) * current_spread)
             if passing.size:
                 i = passing[0]
                 is_open[out_loc] = False

@@ -91,6 +91,12 @@ def check_capacity(capacity: float) -> None:
         raise ValueError("capacity must lie in (0, 1]")
 
 
+def check_seed(seed: int) -> None:
+    """A random seed is a 64-bit unsigned integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -207,10 +213,6 @@ class Assignment:
         object.__setattr__(self, "server_locations", tuple(sorted(int(l) for l in self.server_locations)))
         object.__setattr__(self, "cell_to_location", _frozen_array(self.cell_to_location, dtype=np.int64))
 
-    @property
-    def n_cells(self) -> int:
-        return self.cell_to_location.shape[0]
-
     def cells_of(self, location: int) -> np.ndarray:
         """Indices of cells assigned to ``location``, ascending (empty if none)."""
         return np.flatnonzero(self.cell_to_location == location)
@@ -248,6 +250,13 @@ def validate(instance: Instance, assignment: Assignment) -> Violation | None:
         return Violation("server-count", len(locs))
     outside = np.flatnonzero(~np.isin(cmap, locs))
     return Violation("cell-location", int(outside[0])) if outside.size else None
+
+
+def check_valid(instance: Instance, assignment: Assignment) -> None:
+    """ValueError naming the first constraint that ``assignment`` violates."""
+    report = validate(instance, assignment)
+    if report is not None:
+        raise ValueError(f"invalid assignment: {report}")
 
 
 def cellset_load(workload: np.ndarray, cells: np.ndarray) -> float:
@@ -309,7 +318,5 @@ class Objectives:
 
 def objectives(instance: Instance, assignment: Assignment) -> Objectives:
     """Both objectives of a valid assignment."""
-    report = validate(instance, assignment)
-    if report is not None:
-        raise ValueError(str(report))
+    check_valid(instance, assignment)
     return Objectives(cost=cost(instance, assignment), spread=spread(instance, assignment))

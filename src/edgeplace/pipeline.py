@@ -23,8 +23,8 @@ import numpy as np
 
 from .fm import cost_descent
 from .hungarian import relocate
-from .kmedian import SwapParams, kmedian_search
-from .model import Assignment, Instance, Objectives, objectives, spread
+from .kmedian import DEFAULT_KAPPA, check_kappa, kmedian_search
+from .model import Assignment, Instance, Objectives, check_seed, objectives, spread
 
 ALGORITHMS = ("RAND", "KMED", "FM_HUNG", "KMED_FM_HUNG")
 
@@ -33,17 +33,16 @@ ALGORITHMS = ("RAND", "KMED", "FM_HUNG", "KMED_FM_HUNG")
 class SolverConfig:
     algorithm: str
     seed: int
-    kappa: float = SwapParams.kappa
+    kappa: float = DEFAULT_KAPPA
     epsilon: float = math.inf  # allowed relative spread growth during cost refinement
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        SwapParams(kappa=self.kappa)  # validates kappa
+        check_kappa(self.kappa)
         if not self.epsilon >= 0:  # rejects NaN too
             raise ValueError("epsilon must be >= 0 (math.inf allowed)")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -85,7 +84,7 @@ def solve(instance: Instance, config: SolverConfig) -> SolveResult:
 
     if config.algorithm in ("KMED", "KMED_FM_HUNG"):
         swap_log: list = []
-        current = kmedian_search(instance, current, SwapParams(kappa=config.kappa), accepted_log=swap_log)
+        current = kmedian_search(instance, current, kappa=config.kappa, accepted_log=swap_log)
         trace.append(_record("kmedian", instance, current, swap_log))
 
     if config.algorithm in ("FM_HUNG", "KMED_FM_HUNG"):

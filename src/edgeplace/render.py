@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_csv
-from .harness import AggregateRow
+from .fileio import AggregateRow, write_csv
 from .model import Assignment, Instance
 
 
@@ -141,7 +140,7 @@ def plot_curves(aggregates: list[AggregateRow], out_dir) -> list[Path]:
             series.setdefault(a.algo, []).append((a.capacity, mean, lo, hi))
         csv_path = out_dir / f"{metric}_vs_capacity.csv"
         columns = ("algo", "capacity", f"{metric}_mean", f"{metric}_min", f"{metric}_max")
-        rows = ([name, *(repr(float(v)) for v in pt)] for name, pts in sorted(series.items()) for pt in pts)
+        rows = ([name, *pt] for name, pts in sorted(series.items()) for pt in pts)
         write_csv(csv_path, columns, rows)
         svg_path = out_dir / f"{metric}_vs_capacity.svg"
         svg_path.write_text(_curve_svg(series, metric), encoding="utf-8")

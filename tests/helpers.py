@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from edgeplace import fm
-from edgeplace.kmedian import SwapParams, assign_cells
+from edgeplace.kmedian import DEFAULT_KAPPA, assign_cells
 from edgeplace.model import Assignment, Instance, cellset_load, spread
 
 
@@ -339,7 +339,7 @@ def _nearest_spread(instance: Instance, cols: np.ndarray) -> float:
 def reference_kmedian_search(
     instance: Instance,
     initial: Assignment,
-    params: SwapParams = SwapParams(),
+    kappa: float = DEFAULT_KAPPA,
     accepted_log: list | None = None,
 ) -> Assignment:
     """Swap search that scores one (out, in) pair per ``_nearest_spread`` call."""
@@ -354,7 +354,7 @@ def reference_kmedian_search(
             for in_loc in closed:
                 cols = np.array(sorted(set(open_locs) - {out_loc} | {in_loc}))
                 candidate = _nearest_spread(instance, cols)
-                if candidate < (1.0 - params.kappa) * current_spread:
+                if candidate < (1.0 - kappa) * current_spread:
                     open_locs = cols.tolist()
                     current_spread = candidate
                     accepted = True

@@ -104,6 +104,8 @@ def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
         ("sweep --cells 20 --candidates 5 --servers 0 --out-dir {tmp}", "need 1 <= n_servers"),
         ("gen --layout grid --grid-rows 2 --grid-cols 2 --grid-cell-size 0.1 --workload uniform "
          "--cells 4 --candidates 2 --servers 1 --capacity 0.5 --out {nope}", "a uniform workload needs the random layout"),
+        ("gen --cells 6 --candidates 3 --servers 2 --capacity 0.5 --grid-rows 2 --grid-cols 3 --grid-cell-size 0.5 "
+         "--out {nope}", "a grid is given exactly when layout is 'grid'"),
     ],
 )
 def test_bad_parameter_is_usage_error(tmp_path, capsys, command, message):
@@ -168,6 +170,7 @@ def test_sweep_from_config_file(instance_file, tmp_path):
 def test_sweep_config_generator_defaults_and_unknown_key(tmp_path, capsys):
     config = {
         "source": {"n_cells": 6, "n_candidates": 4, "n_servers": 2,
+                   "layout": "grid", "workload_model": "gravity", "corr_length": 0.5,
                    "grid": {"rows": 2, "cols": 3, "cell_size": 0.5, "origin": [1.0, 2.0]}},
         "capacities": [0.5],
         "n_location_sets": 1,
@@ -224,6 +227,23 @@ def test_generator_sweep_takes_capacity_from_capacities(tmp_path):
                "--loc-sets", "1", "--initials", "1", "--algos", "KMED", "--out-dir", str(tmp_path)])
     assert rc == 0
     assert [r.capacity for r in read_report(tmp_path / "runs.csv")] == [0.3, 0.6]
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [("n_initials", "3", "sweep config"), ("n_initials", True, "sweep config"), ("capacities", 0.5, "sweep config"),
+     ("kappa", "x", "sweep config"), ("source", 3, "sweep config"), ("seed", 1.5, "source")],
+)
+def test_sweep_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, value, where):
+    config = {"source": {"n_cells": 12, "n_candidates": 5, "n_servers": 2}, "n_initials": 1}
+    if where == "source":
+        config["source"][key] = value
+    else:
+        config[key] = value
+    rc = main(["sweep", "--config", str(write_config(tmp_path, config)), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {key} in {where} must be ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_config_source_capacity_is_usage_error(tmp_path, capsys):

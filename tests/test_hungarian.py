@@ -105,6 +105,17 @@ class TestSolveMatching:
         match = solve_matching(RelocationMatrix((7, 9), entries))
         assert match == {7: 0, 9: 1}
 
+    @pytest.mark.parametrize("entries", [[[1.0 + 1e-12, 1.0]], [[0.5 + 1e-11, 0.5], [0.3, 0.3 + 1e-11]]])
+    def test_near_tie_keeps_the_smaller_total(self, entries):
+        # columns within the tightness tolerance are not ties: the
+        # lexicographically smaller matching costs more and must lose
+        entries = np.array(entries)
+        m = RelocationMatrix(tuple(range(len(entries))), entries)
+        best_total, best_cols = brute_force_matching(entries)
+        match = solve_matching(m)
+        assert matching_total(m, match) == best_total
+        assert tuple(match.values()) == best_cols
+
     def test_lexicographic_on_structured_ties(self):
         # entries from {0, 1} or {0, 1, 2} give many equal-total matchings;
         # the brute-force lexicographic winner must be returned exactly, on

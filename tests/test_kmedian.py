@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from edgeplace.kmedian import SwapParams, assign_cells, kmedian_search
+from edgeplace.kmedian import DEFAULT_KAPPA, assign_cells, check_kappa, kmedian_search
 from edgeplace.model import Assignment, Instance, spread, validate
 
 from helpers import random_assignment, random_instance, swap_locations
@@ -12,9 +12,9 @@ from helpers import random_assignment, random_instance, swap_locations
 class TestSwapParams:
     def test_kappa_bounds(self):
         with pytest.raises(ValueError):
-            SwapParams(kappa=0.0)
+            check_kappa(0.0)
         with pytest.raises(ValueError):
-            SwapParams(kappa=1.0)
+            check_kappa(1.0)
 
 
 class TestAssignCells:
@@ -139,11 +139,10 @@ class TestKmedianSearch:
 
     def test_output_spread_bounded_by_exhaustive_optimum_and_swap_stable(self):
         rng = np.random.default_rng(19)
-        params = SwapParams()
         for _ in range(10):
             inst = random_instance(rng, 6, 4, 2)
             initial = random_assignment(rng, inst)
-            out = kmedian_search(inst, initial, params)
+            out = kmedian_search(inst, initial)
             best = min(
                 spread(inst, assign_cells(inst, subset))
                 for subset in itertools.combinations(range(4), 2)
@@ -155,7 +154,7 @@ class TestKmedianSearch:
             for out_loc in sorted(open_set):
                 for in_loc in sorted(set(range(4)) - open_set):
                     s_new = spread(inst, swap_locations(inst, out, out_loc, in_loc))
-                    assert not s_new < (1.0 - params.kappa) * s_out
+                    assert not s_new < (1.0 - DEFAULT_KAPPA) * s_out
 
     def test_output_spread_never_exceeds_input(self):
         rng = np.random.default_rng(21)
@@ -170,17 +169,17 @@ class TestKmedianSearch:
         inst = random_instance(rng, 15, 8, 3)
         initial = random_assignment(rng, inst)
         log = []
-        params = SwapParams(kappa=1e-4)
-        out = kmedian_search(inst, initial, params, accepted_log=log)
+        kappa = 1e-4
+        out = kmedian_search(inst, initial, kappa=kappa, accepted_log=log)
         trajectory = [spread(inst, initial)] + log
         for before, after in zip(trajectory, trajectory[1:]):
-            assert after < (1.0 - params.kappa) * before
+            assert after < (1.0 - kappa) * before
         assert spread(inst, out) == pytest.approx(trajectory[-1])
         # geometric-decrease bound on the number of accepted swaps
         import math
 
         if log:
-            bound = math.log(trajectory[0] / trajectory[-1]) / -math.log(1.0 - params.kappa)
+            bound = math.log(trajectory[0] / trajectory[-1]) / -math.log(1.0 - kappa)
             assert len(log) <= bound + 1e-9
 
     def test_deterministic(self):

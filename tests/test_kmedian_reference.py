@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeplace.kmedian import SwapParams, kmedian_search
+from edgeplace.kmedian import kmedian_search
 from edgeplace.model import Instance
 
 from helpers import random_assignment, reference_kmedian_search
@@ -44,13 +44,13 @@ def search_case(seed):
     w /= np.triu(w).sum()
     inst = Instance(cells, cands, w, n_servers, 0.5)
     kappa = KAPPAS[int(rng.integers(0, len(KAPPAS)))]
-    return inst, random_assignment(rng, inst), SwapParams(kappa=kappa)
+    return inst, random_assignment(rng, inst), kappa
 
 
-def assert_matches_reference(inst, start, params):
+def assert_matches_reference(inst, start, kappa):
     log_new, log_ref = [], []
-    got = kmedian_search(inst, start, params, accepted_log=log_new)
-    want = reference_kmedian_search(inst, start, params, accepted_log=log_ref)
+    got = kmedian_search(inst, start, kappa=kappa, accepted_log=log_new)
+    want = reference_kmedian_search(inst, start, kappa=kappa, accepted_log=log_ref)
     assert got == want
     assert log_new == log_ref
 
@@ -72,15 +72,15 @@ def test_seeded_cases_cover_the_edges():
     seen = {"one": 0, "one_closed": 0, "none_closed": 0, "idle": 0, "tied": 0, "kappa_ends": 0}
     accepted = 0
     for seed in range(60):
-        inst, start, params = search_case(seed)
+        inst, start, kappa = search_case(seed)
         seen["one"] += inst.n_servers == 1
         seen["one_closed"] += inst.n_servers == inst.n_candidates - 1
         seen["none_closed"] += inst.n_servers == inst.n_candidates
         seen["idle"] += bool((inst.cell_totals == 0).any())
         seen["tied"] += len({tuple(c) for c in inst.candidate_coords}) < inst.n_candidates
-        seen["kappa_ends"] += params.kappa in (KAPPAS[0], KAPPAS[-1])
+        seen["kappa_ends"] += kappa in (KAPPAS[0], KAPPAS[-1])
         log = []
-        kmedian_search(inst, start, params, accepted_log=log)
+        kmedian_search(inst, start, kappa=kappa, accepted_log=log)
         accepted += len(log)
     assert min(seen.values()) >= 3, seen
     assert accepted > 40

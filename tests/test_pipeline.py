@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from edgeplace.fm import cost_descent
 from edgeplace.generate import GenSpec, gen_uniform
-from edgeplace.model import cost, spread, validate
+from edgeplace.hungarian import relocate
+from edgeplace.kmedian import kmedian_search
+from edgeplace.model import Assignment, cost, spread, validate
 from edgeplace.pipeline import ALGORITHMS, SolverConfig, random_assignment, solve
 
 from helpers import random_instance
@@ -14,6 +17,15 @@ from helpers import random_instance
 def small_instance():
     rng = np.random.default_rng(99)
     return random_instance(rng, 18, 8, 3, capacity=0.15)
+
+
+@pytest.mark.parametrize("phase", [kmedian_search, cost_descent, relocate], ids=lambda f: f.__name__)
+def test_phase_rejects_cell_outside_server_set(phase):
+    # cells 6 and 7 sit on location 3, which holds no server
+    inst = random_instance(np.random.default_rng(31), 8, 5, 2)
+    bad = Assignment((0, 1), np.array([0, 1, 0, 1, 0, 1, 3, 3]))
+    with pytest.raises(ValueError, match="cell-location violated at index 6"):
+        phase(inst, bad)
 
 
 class TestSolverConfig:
