@@ -116,7 +116,7 @@ class PartitionState:
         """``delta_cost`` of the current sides: the cut weight from scratch plus
         each side's overflow at the loads ``recompute_sums`` last set."""
         a, b = np.flatnonzero(~self.side), np.flatnonzero(self.side)
-        cross = float(self.weights[np.ix_(a, b)].sum()) if a.size and b.size else 0.0
+        cross = float(self.weights[np.ix_(a, b)].sum())
         return cross + max(0.0, self.load_a - capacity) + max(0.0, self.load_b - capacity)
 
     def cellset(self, side_b: bool) -> np.ndarray:
@@ -197,37 +197,36 @@ def move_cells(instance: Instance, assignment: Assignment, l0: int, l1: int) -> 
         raise ValueError("locations must differ")
     state = PartitionState.from_assignment(instance, assignment, l0, l1)
     capacity = instance.capacity
-    if state.cells.size:
-        start_delta = state.delta(capacity)
-        while True:
-            start_side = state.side.copy()
-            state.locked[:] = False
-            state.move_log.clear()
-            state.gain_log.clear()
-            for _ in range(state.cells.size):
-                pick = _select(state, capacity)
-                if pick is None:
-                    break
-                state.apply_move(*pick)
-                state.locked[pick[0]] = True
-            # Keep the shortest prefix with the largest running gain, if positive.
-            best_total = max(state.gain_log, default=0.0)
-            if not best_total > 0.0:
-                state.side = start_side
+    start_delta = state.delta(capacity)
+    while True:
+        start_side = state.side.copy()
+        state.locked[:] = False
+        state.move_log.clear()
+        state.gain_log.clear()
+        for _ in range(state.cells.size):
+            pick = _select(state, capacity)
+            if pick is None:
                 break
-            state.side = start_side.copy()
-            for pos, _ in state.move_log[: state.gain_log.index(best_total) + 1]:
-                state.side[pos] = not state.side[pos]
-            state.recompute_sums()
-            # The summed per-move gains can drift by ~1e-16; a zero-gain
-            # prefix (e.g. a full mirror flip) must not count as progress
-            # or the pass loop ping-pongs forever. Keep the prefix only if
-            # the from-scratch value strictly improved.
-            end_delta = state.delta(capacity)
-            if not end_delta < start_delta:
-                state.side = start_side
-                break
-            start_delta = end_delta
+            state.apply_move(*pick)
+            state.locked[pick[0]] = True
+        # Keep the shortest prefix with the largest running gain, if positive.
+        best_total = max(state.gain_log, default=0.0)
+        if not best_total > 0.0:
+            state.side = start_side
+            break
+        state.side = start_side.copy()
+        for pos, _ in state.move_log[: state.gain_log.index(best_total) + 1]:
+            state.side[pos] = not state.side[pos]
+        state.recompute_sums()
+        # The summed per-move gains can drift by ~1e-16; a zero-gain
+        # prefix (e.g. a full mirror flip) must not count as progress
+        # or the pass loop ping-pongs forever. Keep the prefix only if
+        # the from-scratch value strictly improved.
+        end_delta = state.delta(capacity)
+        if not end_delta < start_delta:
+            state.side = start_side
+            break
+        start_delta = end_delta
     new_map = assignment.cell_to_location.copy()
     new_map[state.cellset(False)] = l0
     new_map[state.cellset(True)] = l1
@@ -250,8 +249,6 @@ def cost_descent(
     """
     check_valid(instance, assignment)
     locs = sorted(set(assignment.server_locations))
-    if len(locs) < 2:
-        return assignment
     capacity = instance.capacity
     w = instance.workload
     current = assignment

@@ -15,7 +15,6 @@ in this fixed order:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +73,6 @@ def _symmetric_from_upper(n: int, upper_values: np.ndarray) -> np.ndarray:
     return w + np.triu(w, 1).T
 
 
-def _cell_coords(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
-    if spec.layout == "grid":
-        return spec.grid.cell_centers()
-    return rng.random((spec.n_cells, 2))
-
-
 def uniform_points(rng: np.random.Generator, n: int, bounds: tuple[float, float, float, float]) -> np.ndarray:
     """``n`` points drawn uniformly in the box ``bounds = (x0, y0, x1, y1)``."""
     x0, y0, x1, y1 = bounds
@@ -87,22 +80,11 @@ def uniform_points(rng: np.random.Generator, n: int, bounds: tuple[float, float,
     return np.column_stack([x0 + u[:, 0] * (x1 - x0), y0 + u[:, 1] * (y1 - y0)])
 
 
-def _candidate_coords(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
-    bounds = spec.grid.bounds() if spec.layout == "grid" else (0.0, 0.0, 1.0, 1.0)
-    return uniform_points(rng, spec.n_candidates, bounds)
-
-
 def gen_uniform(spec: GenSpec) -> Instance:
     """Geography-free instance: uniform coordinates, i.i.d. uniform pair weights."""
     if spec.workload_model != "uniform":
         raise ValueError("gen_uniform needs workload_model == 'uniform'")
-    rng = np.random.default_rng(spec.seed)
-    cells = _cell_coords(spec, rng)
-    cands = _candidate_coords(spec, rng)
-    n = spec.n_cells
-    values = rng.random(n * (n + 1) // 2)
-    w = _symmetric_from_upper(n, values / values.sum())
-    return Instance(cells, cands, w, spec.n_servers, spec.capacity)
+    return generate(spec)
 
 
 def gen_gravity(spec: GenSpec) -> Instance:
@@ -114,33 +96,27 @@ def gen_gravity(spec: GenSpec) -> Instance:
     """
     if spec.workload_model != "gravity":
         raise ValueError("gen_gravity needs workload_model == 'gravity'")
-    rng = np.random.default_rng(spec.seed)
-    cells = _cell_coords(spec, rng)
-    cands = _candidate_coords(spec, rng)
-    activity = rng.lognormal(mean=0.0, sigma=spec.activity_sigma, size=spec.n_cells)
-    dist = euclidean_fronthaul(cells, cells)
-    if math.isinf(spec.corr_length):
-        decay = np.ones_like(dist)
-    else:
-        decay = np.exp(-dist / spec.corr_length)
-    raw = np.outer(activity, activity) * decay
-    upper = raw[np.triu_indices(spec.n_cells)]
-    w = _symmetric_from_upper(spec.n_cells, upper / upper.sum())
-    return Instance(
-        cells,
-        cands,
-        w,
-        spec.n_servers,
-        spec.capacity,
-        grid=spec.grid,
-    )
+    return generate(spec)
 
 
 def generate(spec: GenSpec) -> Instance:
-    """Dispatch on the workload model."""
+    """The instance of ``spec``, drawn in the stream order of the module docstring."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.layout == "grid":
+        cells, bounds = spec.grid.cell_centers(), spec.grid.bounds()
+    else:
+        cells, bounds = rng.random((spec.n_cells, 2)), (0.0, 0.0, 1.0, 1.0)
+    cands = uniform_points(rng, spec.n_candidates, bounds)
+    n = spec.n_cells
     if spec.workload_model == "uniform":
-        return gen_uniform(spec)
-    return gen_gravity(spec)
+        upper = rng.random(n * (n + 1) // 2)
+    else:
+        activity = rng.lognormal(mean=0.0, sigma=spec.activity_sigma, size=n)
+        # An infinite corr_length gives exp(-0.0) == 1.0: no decay.
+        decay = np.exp(-euclidean_fronthaul(cells, cells) / spec.corr_length)
+        upper = (np.outer(activity, activity) * decay)[np.triu_indices(n)]
+    w = _symmetric_from_upper(n, upper / upper.sum())
+    return Instance(cells, cands, w, spec.n_servers, spec.capacity, grid=spec.grid)
 
 
 def workload_distance_correlation(instance: Instance) -> float:

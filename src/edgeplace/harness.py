@@ -68,9 +68,18 @@ class ExperimentReport:
 
 
 def base_instance(spec: SweepSpec) -> Instance:
+    """The sweep's base instance. ``ValueError`` for an instance file whose
+    fronthaul is not Euclidean: a sweep redraws the candidate locations, and
+    a given fronthaul does not cover the redrawn ones."""
     if isinstance(spec.source, GenSpec):
         return generate(spec.source)
-    return read_instance(spec.source)
+    instance = read_instance(spec.source)
+    if not instance.has_euclidean_fronthaul():
+        raise ValueError(
+            "a sweep redraws candidate locations and measures them by Euclidean distance; "
+            f"{spec.source} has a non-Euclidean fronthaul section"
+        )
+    return instance
 
 
 def _service_bounds(instance: Instance) -> tuple[float, float, float, float]:

@@ -190,11 +190,9 @@ def relocate(instance: Instance, assignment: Assignment) -> Assignment:
     check_valid(instance, assignment)
     matrix = build_matrix(instance, assignment)
     match = solve_matching(matrix)
-    new_map = np.empty_like(assignment.cell_to_location)
-    for server, target in match.items():
-        new_map[assignment.cells_of(server)] = target
+    target = np.zeros(instance.n_candidates, dtype=np.int64)
+    target[list(match)] = list(match.values())
     used = set(match.values())
     n_empty = instance.n_servers - len(matrix.servers)
     refill = [l for l in range(instance.n_candidates) if l not in used][:n_empty]
-    new_locs = tuple(sorted(used | set(refill)))
-    return Assignment(new_locs, new_map)
+    return Assignment(tuple(used | set(refill)), target[assignment.cell_to_location])

@@ -148,15 +148,11 @@ class Instance:
             )
         check_counts(n, cands.shape[0], self.n_servers)
         check_capacity(self.capacity)
-        if self.fronthaul is None:
-            d = euclidean_fronthaul(cells, cands)
-            d.setflags(write=False)
-        else:
-            d = _frozen_array(self.fronthaul)
-            if d.shape != (n, cands.shape[0]):
-                raise ValueError("fronthaul must be (n_cells, n_candidates)")
-            if (d < 0).any():
-                raise ValueError("fronthaul entries must be non-negative")
+        d = _frozen_array(euclidean_fronthaul(cells, cands) if self.fronthaul is None else self.fronthaul)
+        if d.shape != (n, cands.shape[0]):
+            raise ValueError("fronthaul must be (n_cells, n_candidates)")
+        if (d < 0).any():
+            raise ValueError("fronthaul entries must be non-negative")
         if not np.isfinite(d).all():
             raise ValueError("fronthaul entries must be finite; got a non-finite value")
         if self.grid is not None and self.grid.n_cells != n:
@@ -241,7 +237,7 @@ def validate(instance: Instance, assignment: Assignment) -> Violation | None:
     for l in locs:
         if not 0 <= l < instance.n_candidates:
             raise MalformedAssignmentError(f"server location {l} out of range")
-    if cmap.size and (cmap.min() < 0 or cmap.max() >= instance.n_candidates):
+    if cmap.min() < 0 or cmap.max() >= instance.n_candidates:
         bad = int(np.flatnonzero((cmap < 0) | (cmap >= instance.n_candidates))[0])
         raise MalformedAssignmentError(f"cell {bad} mapped to out-of-range location {int(cmap[bad])}")
     if len(set(locs)) != len(locs):

@@ -24,7 +24,7 @@ import numpy as np
 from .fm import cost_descent
 from .hungarian import relocate
 from .kmedian import DEFAULT_KAPPA, check_kappa, kmedian_search
-from .model import Assignment, Instance, Objectives, check_seed, objectives, spread
+from .model import Assignment, Instance, Objectives, check_seed, objectives
 
 ALGORITHMS = ("RAND", "KMED", "FM_HUNG", "KMED_FM_HUNG")
 
@@ -88,8 +88,7 @@ def solve(instance: Instance, config: SolverConfig) -> SolveResult:
         trace.append(_record("kmedian", instance, current, swap_log))
 
     if config.algorithm in ("FM_HUNG", "KMED_FM_HUNG"):
-        baseline = spread(instance, current)
-        cap = math.inf if math.isinf(config.epsilon) else (1.0 + config.epsilon) * baseline
+        cap = math.inf if math.isinf(config.epsilon) else (1.0 + config.epsilon) * trace[-1].spread
         commit_log: list = []
         current = cost_descent(instance, current, spread_cap=cap, commit_log=commit_log)
         trace.append(_record("refine", instance, current, commit_log))

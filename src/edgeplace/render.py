@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import AggregateRow, write_csv
-from .model import Assignment, Instance
+from .model import Assignment, Instance, check_valid
 
 
 def server_palette(n: int) -> list[str]:
@@ -40,7 +40,9 @@ def _viewbox(instance: Instance, margin_frac: float = 0.05):
 
 def render_map(instance: Instance, assignment: Assignment, path) -> None:
     """Write an SVG of the assignment; cells carry class ``cell``, server
-    markers class ``server``."""
+    markers class ``server``. Raises ``ValueError`` for an invalid
+    ``assignment``."""
+    check_valid(instance, assignment)
     locs = list(assignment.server_locations)
     palette = server_palette(len(locs))
     color_of = {l: palette[i] for i, l in enumerate(locs)}
@@ -86,7 +88,7 @@ def _curve_svg(series: dict[str, list[tuple[float, float, float, float]]], ylabe
     ymin = 0.0
 
     def sx(x):
-        if len(xs) == 1 or xs[-1] == xs[0]:
+        if len(xs) == 1:
             return width / 2
         return pad + (x - xs[0]) / (xs[-1] - xs[0]) * (width - 2 * pad)
 
@@ -127,7 +129,10 @@ def _curve_svg(series: dict[str, list[tuple[float, float, float, float]]], ylabe
 
 
 def plot_curves(aggregates: list[AggregateRow], out_dir) -> list[Path]:
-    """Emit cost-vs-capacity and spread-vs-capacity CSV and SVG files."""
+    """Emit cost-vs-capacity and spread-vs-capacity CSV and SVG files.
+    Raises ``ValueError``, and writes nothing, when there is no aggregate."""
+    if not aggregates:
+        raise ValueError("no runs to plot")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from edgeplace.cli import main
-from edgeplace.fileio import read_assignment, read_instance, read_report
+from edgeplace.fileio import read_assignment, read_instance, read_report, write_instance, write_report
 
 
 @pytest.fixture()
@@ -292,6 +293,54 @@ def test_render_command(instance_file, tmp_path):
         ["render", "--instance", str(instance_file), "--assignment", str(assign_path), "--out", str(svg_path)]
     ) == 0
     assert svg_path.read_text().startswith("<?xml")
+
+
+@pytest.mark.parametrize(
+    "cell_locations, message",
+    [
+        ([0, 1, 0, 1, 0, 1], "cell map has 6 entries for 4 cells"),
+        ([0, 1, 7, 1], "cell 2 mapped to out-of-range location 7"),
+        ([0, 1, 0], "cell map has 3 entries for 4 cells"),
+    ],
+)
+def test_render_rejects_assignment_that_does_not_fit(tmp_path, capsys, cell_locations, message):
+    inst_path = tmp_path / "inst.txt"
+    gen = f"gen --cells 4 --candidates 3 --servers 2 --capacity 0.5 --seed 0 --out {inst_path}"
+    assert main(gen.split()) == 0
+    assign_path = tmp_path / "a.csv"
+    rows = ["server,0,0", "server,1,1"] + [f"cell,{i},{l}" for i, l in enumerate(cell_locations)]
+    assign_path.write_text("kind,index,location\n" + "\n".join(rows) + "\n")
+    svg_path = tmp_path / "map.svg"
+    capsys.readouterr()
+    rc = main(["render", "--instance", str(inst_path), "--assignment", str(assign_path), "--out", str(svg_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not svg_path.exists()
+
+
+def test_sweep_rejects_instance_file_with_fronthaul(tmp_path, capsys):
+    src = tmp_path / "inst.txt"
+    assert main(f"gen --cells 4 --candidates 3 --servers 1 --capacity 0.5 --seed 0 --out {src}".split()) == 0
+    inst = read_instance(src)
+    fh_path = tmp_path / "fh.txt"
+    write_instance(dataclasses.replace(inst, fronthaul=inst.fronthaul + 1.0), fh_path)
+    out_dir = tmp_path / "sweep"
+    rc = main(
+        f"sweep --instance {fh_path} --capacities 0.5 --loc-sets 1 --initials 1 --algos KMED --out-dir {out_dir}".split()
+    )
+    assert rc == 2
+    assert "a sweep redraws candidate locations" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_plot_curves_of_header_only_report_writes_nothing(tmp_path, capsys):
+    report = tmp_path / "runs.csv"
+    write_report([], report)
+    curves_dir = tmp_path / "curves"
+    rc = main(["plot-curves", "--report", str(report), "--out-dir", str(curves_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: no runs to plot\n"
+    assert not curves_dir.exists()
 
 
 def test_out_dir_env_var(instance_file, tmp_path, monkeypatch, capsys):

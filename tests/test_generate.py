@@ -131,6 +131,13 @@ class TestGenGravity:
         spec = gravity_spec(seed=5, corr_length=math.inf)
         inst = gen_gravity(spec)
         assert abs(workload_distance_correlation(inst)) < 0.05
+        # No decay at all: the workload is the normalized outer product of
+        # the activity draw, which follows the candidate draw.
+        rng = np.random.default_rng(spec.seed)
+        rng.random((spec.n_candidates, 2))
+        activity = rng.lognormal(mean=0.0, sigma=spec.activity_sigma, size=spec.n_cells)
+        upper = np.outer(activity, activity)[np.triu_indices(spec.n_cells)]
+        assert np.array_equal(inst.workload[np.triu_indices(spec.n_cells)], upper / upper.sum())
 
     def test_random_layout_allowed(self):
         spec = gravity_spec(layout="random", grid=None, n_cells=50)

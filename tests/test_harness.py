@@ -277,3 +277,17 @@ class TestPlotCurves:
             else:
                 lines = p.read_text().splitlines()
                 assert len(lines) == 1 + 4  # header + 2 algos x 2 capacities
+
+    def test_single_capacity_centres_every_point(self, tmp_path):
+        report = run_sweep(small_spec(capacities=(0.1,)))
+        written = plot_curves(report.aggregates, tmp_path)
+        for p in written:
+            if p.suffix == ".svg":
+                root = ET.parse(p).getroot()
+                shapes = [e for e in root.iter() if e.tag.endswith(("polyline", "polygon"))]
+                assert len(shapes) == 4  # a band and a line per algorithm
+                xs = {pt.split(",")[0] for e in shapes for pt in e.get("points").split()}
+                assert xs == {"320.0"}  # the middle of the 640-wide chart
+            else:
+                lines = p.read_text().splitlines()
+                assert [line.split(",")[:2] for line in lines[1:]] == [["KMED", "0.1"], ["RAND", "0.1"]]
