@@ -25,6 +25,27 @@ locations: a pair whose entry survives has both cellsets unchanged since its
 last call, and replays the stored result (no-op, or the new cellsets) without
 calling ``move_cells`` again. The global cost and spread comparisons read
 every server, so they are re-checked on every replay.
+
+A pass runs on one of two kernels that do the same IEEE operations in the
+same order, so both give the same result to the last bit. Pairs of at most
+``SMALL_PAIR`` cells run on Python floats (``_FloatState``: lists for the
+per-position vectors and the weight rows, ``_select_floats``). On a pair of a
+few cells a numpy move costs about 20 calls on as many elements, so per-call
+overhead outweighs the arithmetic. Larger pairs run on numpy vectors
+(``PartitionState``, ``_select``), whose cost per move grows more slowly with
+the pair. ``SMALL_PAIR`` is the measured crossover: replaying the recorded
+``move_cells`` inputs of ``FM_HUNG`` solves on the benchmark's ``uniform-500``
+and ``sites-250`` instances and on the acceptance gravity-625 instance (2-core
+x86 VM, CPython 3.11, numpy 2.4), ``move_cells`` on the float pass took
+0.5-0.9x the time of the numpy pass on pairs of 1 to 64 cells, 1.0-1.1x on 65
+to 72 cells and 1.1-2.5x above. Set-up stays in numpy for both (``from_sets``,
+the BLAS mat-vec in ``recompute_sums``, ``delta``).
+
+Both kernels move each cell through ``PartitionState.apply_move``, which
+leaves only the update of the other positions' sums to ``_update_rows``; the
+benchmark's tracer counts moves by wrapping ``apply_move``, and counts pair
+calls by wrapping this module's ``move_cells``, which ``cost_descent`` looks
+up at call time.
 """
 from __future__ import annotations
 
@@ -38,6 +59,10 @@ from .model import Assignment, Instance, cellset_load, check_valid, spread
 # Upper bound on ``cost_descent``'s pair sweeps; the descent ends earlier, at
 # the first sweep that commits nothing.
 MAX_SWEEPS = 100
+
+# Pairs of at most this many cells run the pass on Python floats, larger ones
+# on numpy vectors (see the module docstring).
+SMALL_PAIR = 64
 
 
 def delta_cost(workload: np.ndarray, cells_a, cells_b, capacity: float) -> float:
@@ -72,17 +97,17 @@ class PartitionState:
     def from_sets(cls, workload: np.ndarray, cells_a, cells_b) -> "PartitionState":
         cells_a = np.asarray(cells_a, dtype=int)
         cells_b = np.asarray(cells_b, dtype=int)
-        if np.intersect1d(cells_a, cells_b).size:
+        if not set(cells_a.tolist()).isdisjoint(cells_b.tolist()):
             raise ValueError("cellsets overlap")
         cells = np.concatenate([cells_a, cells_b])
         side = np.zeros(cells.size, dtype=bool)
         side[cells_a.size:] = True
-        sub = workload[np.ix_(cells, cells)]
+        sub = workload[cells[:, None], cells]
         state = cls(
             cells=cells,
             side=side,
             weights=sub,
-            diag=np.diag(sub).copy(),
+            diag=sub.diagonal().copy(),
             own_off=np.zeros(cells.size),
             other=np.zeros(cells.size),
             load_a=0.0,
@@ -102,25 +127,27 @@ class PartitionState:
 
     def recompute_sums(self) -> None:
         """Refresh per-cell side sums and the two loads from the side vector."""
-        in_b = self.side.astype(float)
+        side = np.asarray(self.side, dtype=bool)
+        in_b = side.astype(float)
         in_a = 1.0 - in_b
         to_a = self.weights @ in_a
         to_b = self.weights @ in_b
-        own_total = np.where(self.side, to_b, to_a)  # includes the cell's own diagonal
+        own_total = np.where(side, to_b, to_a)  # includes the cell's own diagonal
         self.own_off = own_total - self.diag
-        self.other = np.where(self.side, to_a, to_b)
-        self.load_a = cellset_load(self.weights, np.flatnonzero(~self.side))
-        self.load_b = cellset_load(self.weights, np.flatnonzero(self.side))
+        self.other = np.where(side, to_a, to_b)
+        self.load_a = cellset_load(self.weights, np.flatnonzero(~side))
+        self.load_b = cellset_load(self.weights, np.flatnonzero(side))
 
     def delta(self, capacity: float) -> float:
         """``delta_cost`` of the current sides: the cut weight from scratch plus
         each side's overflow at the loads ``recompute_sums`` last set."""
-        a, b = np.flatnonzero(~self.side), np.flatnonzero(self.side)
-        cross = float(self.weights[np.ix_(a, b)].sum())
+        side = np.asarray(self.side, dtype=bool)
+        a, b = np.flatnonzero(~side), np.flatnonzero(side)
+        cross = float(self.weights[a[:, None], b].sum())
         return cross + max(0.0, self.load_a - capacity) + max(0.0, self.load_b - capacity)
 
     def cellset(self, side_b: bool) -> np.ndarray:
-        return self.cells[self.side == side_b]
+        return self.cells[np.asarray(self.side, dtype=bool) == side_b]
 
     def gains(self, capacity: float) -> tuple[np.ndarray, np.ndarray]:
         """(gain, eligible) arrays over all positions, locked ones included."""
@@ -142,13 +169,7 @@ class PartitionState:
         own_off, other = self.own_off[pos], self.other[pos]
         new_own = (self.load_b if old_side else self.load_a) - self.diag[pos] - own_off
         new_other = (self.load_a if old_side else self.load_b) + self.diag[pos] + other
-        # The moved cell's weight leaves the own sums of its old side and
-        # joins those of its new side; ``weights`` is symmetric, so its row is
-        # its column. Negation is exact, so one signed update reproduces the
-        # separate subtract/add updates bit for bit.
-        signed = self.weights[pos] * np.where(self.side == old_side, -1.0, 1.0)
-        self.own_off += signed
-        self.other -= signed
+        self._update_rows(pos, old_side)
         self.own_off[pos], self.other[pos] = other, own_off
         self.side[pos] = not old_side
         if old_side:
@@ -158,6 +179,43 @@ class PartitionState:
         self.move_log.append((pos, old_side))
         prev = self.gain_log[-1] if self.gain_log else 0.0
         self.gain_log.append(prev + gain)
+
+    def _update_rows(self, pos: int, old_side: bool) -> None:
+        """Update ``own_off`` and ``other`` at every position for the move of
+        the cell at ``pos`` off side ``old_side``."""
+        # The moved cell's weight leaves the own sums of its old side and
+        # joins those of its new side; ``weights`` is symmetric, so its row is
+        # its column. Negation is exact, so one signed update reproduces the
+        # separate subtract/add updates bit for bit.
+        signed = self.weights[pos] * np.where(self.side == old_side, -1.0, 1.0)
+        self.own_off += signed
+        self.other -= signed
+
+
+class _FloatState(PartitionState):
+    """``PartitionState`` whose per-position vectors (``side``, ``diag``,
+    ``own_off``, ``other``, ``locked``) and weight rows are Python lists, for
+    the pass on Python floats. ``from_sets``, ``recompute_sums`` and ``delta``
+    still compute in numpy; ``gains`` does not apply."""
+
+    def __init__(self, **fields) -> None:
+        super().__init__(**fields)
+        self.side = self.side.tolist()
+        self.diag = self.diag.tolist()
+        self.locked = self.locked.tolist()
+        self.rows = self.weights.tolist()
+
+    def recompute_sums(self) -> None:
+        super().recompute_sums()
+        self.own_off = self.own_off.tolist()
+        self.other = self.other.tolist()
+
+    def _update_rows(self, pos: int, old_side: bool) -> None:
+        # The numpy update term by term: its signed term is ``-w`` where the
+        # side is ``old_side``, and ``x + -w`` is ``x - w`` in IEEE arithmetic.
+        row, side = self.rows[pos], self.side
+        self.own_off = [x - w if s == old_side else x + w for x, w, s in zip(self.own_off, row, side)]
+        self.other = [x + w if s == old_side else x - w for x, w, s in zip(self.other, row, side)]
 
 
 def vertex_gain(state: PartitionState, capacity: float, cell: int) -> tuple[float, bool]:
@@ -187,6 +245,37 @@ def _select(state: PartitionState, capacity: float):
     return pos, float(gains[pos])
 
 
+def _select_floats(state: _FloatState, capacity: float):
+    """``_select`` on a ``_FloatState``: ``gains``' IEEE operations in the same
+    order, position by position. ``0.0 if 0.0 > x else x`` is Python's
+    ``max(x, 0.0)``, which returns ``np.maximum``'s result, -0.0 included,
+    wherever no NaN arises; so does testing both new loads against the
+    limit in place of their maximum."""
+    load_a, load_b = state.load_a, state.load_b
+    base = max(load_a - capacity, 0.0) + max(load_b - capacity, 0.0)
+    limit = max(capacity, load_a, load_b)
+    cells = state.cells
+    best, best_gain = None, -math.inf
+    for pos, (locked, side_b, diag, own_off, other) in enumerate(
+        zip(state.locked, state.side, state.diag, state.own_off, state.other)
+    ):
+        if locked:
+            continue
+        if side_b:
+            new_own, new_other = load_b - diag - own_off, load_a + diag + other
+        else:
+            new_own, new_other = load_a - diag - own_off, load_b + diag + other
+        if new_own > limit or new_other > limit:
+            continue
+        over_own, over_other = new_own - capacity, new_other - capacity
+        gain = (other - own_off) + (
+            (base - (0.0 if 0.0 > over_own else over_own)) - (0.0 if 0.0 > over_other else over_other)
+        )
+        if gain > best_gain or (gain == best_gain and cells[pos] < cells[best]):
+            best, best_gain = pos, gain
+    return None if best is None else (best, best_gain)
+
+
 def move_cells(instance: Instance, assignment: Assignment, l0: int, l1: int) -> Assignment:
     """Migrate cells between the servers at ``l0`` and ``l1`` to reduce their
     joint cost contribution. Cells of other servers are untouched."""
@@ -195,16 +284,19 @@ def move_cells(instance: Instance, assignment: Assignment, l0: int, l1: int) -> 
         raise ValueError("both locations must be in the server set")
     if l0 == l1:
         raise ValueError("locations must differ")
-    state = PartitionState.from_assignment(instance, assignment, l0, l1)
+    cells_a, cells_b = assignment.cells_of(l0), assignment.cells_of(l1)
+    small = cells_a.size + cells_b.size <= SMALL_PAIR
+    state = (_FloatState if small else PartitionState).from_sets(instance.workload, cells_a, cells_b)
+    select = _select_floats if small else _select
     capacity = instance.capacity
     start_delta = state.delta(capacity)
     while True:
         start_side = state.side.copy()
-        state.locked[:] = False
+        state.locked[:] = [False] * state.cells.size  # an array or a list
         state.move_log.clear()
         state.gain_log.clear()
         for _ in range(state.cells.size):
-            pick = _select(state, capacity)
+            pick = select(state, capacity)
             if pick is None:
                 break
             state.apply_move(*pick)
@@ -245,9 +337,12 @@ def cost_descent(
     A speculative result is committed only if it strictly lowers the global
     cost and its spread stays within ``spread_cap``. Appends
     ``(cost, spread)`` to ``commit_log`` after each commit when given.
-    Raises ``ValueError`` for an invalid ``assignment``.
+    Raises ``ValueError`` for an invalid ``assignment`` or a NaN
+    ``spread_cap``, which no spread exceeds.
     """
     check_valid(instance, assignment)
+    if math.isnan(spread_cap):
+        raise ValueError("spread_cap must not be NaN")
     locs = sorted(set(assignment.server_locations))
     capacity = instance.capacity
     w = instance.workload

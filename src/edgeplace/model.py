@@ -259,8 +259,8 @@ def cellset_load(workload: np.ndarray, cells: np.ndarray) -> float:
     """Total demand among a cell set: pairs within the set plus diagonal terms, each once."""
     if len(cells) == 0:
         return 0.0
-    sub = workload[np.ix_(cells, cells)]
-    return float((sub.sum() + np.trace(sub)) / 2.0)
+    sub = workload[cells[:, None], cells]
+    return float((sub.sum() + sub.trace()) / 2.0)
 
 
 def server_load(instance: Instance, assignment: Assignment, location: int) -> float:

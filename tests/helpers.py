@@ -189,15 +189,17 @@ def reference_select(state, capacity):
 
 @contextlib.contextmanager
 def reference_fm_kernels():
-    """Run ``edgeplace.fm`` with the reference kernels patched in."""
-    saved = (fm.PartitionState.gains, fm.PartitionState.apply_move, fm._select)
+    """Run ``edgeplace.fm`` with the reference kernels patched in, every pair
+    on the numpy pass (the float pass would hand them list-backed states)."""
+    saved = (fm.PartitionState.gains, fm.PartitionState.apply_move, fm._select, fm.SMALL_PAIR)
     fm.PartitionState.gains = reference_gains
     fm.PartitionState.apply_move = reference_apply_move
     fm._select = reference_select
+    fm.SMALL_PAIR = -1
     try:
         yield
     finally:
-        fm.PartitionState.gains, fm.PartitionState.apply_move, fm._select = saved
+        fm.PartitionState.gains, fm.PartitionState.apply_move, fm._select, fm.SMALL_PAIR = saved
 
 
 def reference_cost_descent(instance, assignment, spread_cap=math.inf, max_sweeps=100, commit_log=None):

@@ -297,6 +297,14 @@ class TestCostDescent:
         for _, s in log:
             assert s <= cap + 1e-12
 
+    def test_nan_spread_cap_rejected(self):
+        # No spread exceeds a NaN cap, so it would run uncapped: from this
+        # start the spread rose from 1.008 to 1.078.
+        inst = random_instance(np.random.default_rng(3), 30, 8, 3, capacity=0.2)
+        a = random_assignment(np.random.default_rng(1), inst)
+        with pytest.raises(ValueError, match="spread_cap"):
+            cost_descent(inst, a, spread_cap=float("nan"))
+
     def test_reaches_at_least_exhaustive_bound(self):
         # Final cost can never beat the exhaustive optimum over all cell maps
         # onto the same two locations.

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from edgeplace import fm
 from edgeplace.pipeline import SolverConfig, solve
 
 from helpers import random_instance
@@ -57,3 +58,23 @@ def test_traced_pair_calls_nest_under_fm():
     pair_spans = [s for s in tracer.spans if s.name == "fm.move_cells"]
     assert pair_spans
     assert all(tracer.spans[s.parent].name == "fm" for s in pair_spans)
+
+
+def test_tracer_counts_the_moves_of_both_pass_kernels(monkeypatch):
+    # Both pass kernels must move cells through PartitionState.apply_move,
+    # which the tracer counts: the same solve with every pair forced onto the
+    # numpy pass, then onto the float pass, traces the same work.
+    tracing = load_tracing()
+    inst = random_instance(np.random.default_rng(3), 30, 8, 3, capacity=0.2)
+    runs = []
+    for small_pair in (-1, inst.n_cells):
+        monkeypatch.setattr(fm, "SMALL_PAIR", small_pair)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            result = solve(inst, SolverConfig("KMED_FM_HUNG", seed=1))
+        pairs = [s for s in tracer.spans if s.name == "fm.move_cells"]
+        runs.append((tracer.moves, len(pairs), sum(s.counts["noop"] for s in pairs), result))
+    numpy_run, float_run = runs
+    assert numpy_run[0] > 0
+    assert float_run[:3] == numpy_run[:3]
+    assert float_run[3] == numpy_run[3]
