@@ -95,7 +95,7 @@ def _csv_rows(path, columns: tuple[str, ...], name: str):
 def write_csv(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write a CSV file: the ``columns`` header, then one line per row. A
     float field (numpy floats too) is written in shortest round-trip form,
-    any other field as ``str`` writes it."""
+    ``None`` as an empty field, any other field as ``str`` writes it."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
@@ -311,7 +311,9 @@ class RunRow:
 
 @dataclass(frozen=True)
 class AggregateRow:
-    """Mean/min/max of the runs of one (algorithm, capacity)."""
+    """Mean/min/max of the runs of one (algorithm, capacity). ``load_ratio_mean``
+    averages ``max_load / min_load`` over the runs with a positive ``min_load``,
+    and is ``None`` (an empty field) when there is none."""
 
     algo: str
     capacity: float
@@ -321,7 +323,7 @@ class AggregateRow:
     spread_mean: float
     spread_min: float
     spread_max: float
-    load_ratio_mean: float
+    load_ratio_mean: float | None
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(RunRow))

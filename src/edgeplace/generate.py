@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, Instance, check_capacity, check_counts, check_seed, euclidean_fronthaul
+from .model import GridSpec, Instance, check_capacity, check_counts, check_grid, check_seed, euclidean_fronthaul
 
 LAYOUTS = ("random", "grid")
 WORKLOAD_MODELS = ("uniform", "gravity")
@@ -55,8 +55,7 @@ class GenSpec:
             raise ValueError(f"workload_model must be one of {WORKLOAD_MODELS}")
         if (self.layout == "grid") != (self.grid is not None):
             raise ValueError("a grid is given exactly when layout is 'grid'")
-        if self.grid is not None and self.grid.n_cells != self.n_cells:
-            raise ValueError("grid rows*cols must equal n_cells")
+        check_grid(self.grid, self.n_cells)
         if self.workload_model == "uniform" and self.layout != "random":
             raise ValueError("a uniform workload needs the random layout")
         if self.workload_model == "gravity":

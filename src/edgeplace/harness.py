@@ -17,7 +17,6 @@ sorted on a fixed key before aggregation and writing.
 """
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +27,7 @@ import numpy as np
 
 from .fileio import AggregateRow, RunRow, read_instance, write_report, write_summary
 from .generate import GenSpec, generate, uniform_points
-from .model import Instance, check_capacity, server_load
+from .model import Instance, cellset_load, check_capacity
 from .pipeline import ALGORITHMS, SolverConfig, solve
 
 DEFAULT_CAPACITIES = (0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
@@ -93,14 +92,7 @@ def candidate_variant(instance: Instance, master_seed: int, loc_seed: int) -> In
     """Base instance with candidate locations redrawn for one location-set seed."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 1, loc_seed]))
     cands = uniform_points(rng, instance.n_candidates, _service_bounds(instance))
-    return Instance(
-        instance.cell_coords,
-        cands,
-        instance.workload,
-        instance.n_servers,
-        instance.capacity,
-        grid=instance.grid,
-    )
+    return replace(instance, candidate_coords=cands, fronthaul=None)
 
 
 def run_seed(master_seed: int, loc_seed: int, init_seed: int) -> int:
@@ -110,11 +102,7 @@ def run_seed(master_seed: int, loc_seed: int, init_seed: int) -> int:
 
 
 def _nonempty_load_range(instance: Instance, assignment) -> tuple[float, float]:
-    loads = [
-        server_load(instance, assignment, l)
-        for l in assignment.server_locations
-        if assignment.cells_of(l).size
-    ]
+    loads = [cellset_load(instance.workload, cells) for _, cells in assignment.occupied_servers()]
     return (max(loads), min(loads))
 
 
@@ -167,7 +155,7 @@ def aggregate_rows(rows: list[RunRow]) -> list[AggregateRow]:
                 spread_mean=float(np.mean(spreads)),
                 spread_min=min(spreads),
                 spread_max=max(spreads),
-                load_ratio_mean=float(np.mean(ratios)) if ratios else math.nan,
+                load_ratio_mean=float(np.mean(ratios)) if ratios else None,
             )
         )
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, Instance, check_valid
+from .model import Assignment, Instance, check_entries, check_valid
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,7 @@ class RelocationMatrix:
             raise ValueError("entries must have one row per server")
         if entries.shape[0] > entries.shape[1]:
             raise ValueError("more servers than candidate locations")
-        if not np.isfinite(entries).all():
-            raise ValueError("entries must be finite")
-        if (entries < 0).any():
-            raise ValueError("entries must be non-negative")
+        check_entries("relocation matrix", entries)
         entries.setflags(write=False)
         object.__setattr__(self, "servers", tuple(int(s) for s in self.servers))
         object.__setattr__(self, "entries", entries)
@@ -47,12 +44,9 @@ class RelocationMatrix:
 def build_matrix(instance: Instance, assignment: Assignment) -> RelocationMatrix:
     """Relocation costs for every non-empty server against every location."""
     w = instance.cell_totals
-    servers = [l for l in assignment.server_locations if assignment.cells_of(l).size]
-    rows = []
-    for l in servers:
-        cells = assignment.cells_of(l)
-        rows.append((instance.fronthaul[cells] * w[cells, None]).sum(axis=0))
-    return RelocationMatrix(tuple(servers), np.array(rows))
+    occupied = assignment.occupied_servers()
+    rows = [(instance.fronthaul[cells] * w[cells, None]).sum(axis=0) for _, cells in occupied]
+    return RelocationMatrix(tuple(l for l, _ in occupied), np.array(rows))
 
 
 def _min_cost(cost: np.ndarray):

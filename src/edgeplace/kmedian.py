@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Assignment, Instance, check_valid, spread
+from .model import Assignment, Instance, check_locations, check_valid, sorted_locations, spread
 
 DEFAULT_KAPPA = 1e-4
 
@@ -30,19 +30,15 @@ def check_kappa(kappa: float) -> None:
 
 def assign_cells(instance: Instance, locations) -> Assignment:
     """Map every cell to its nearest location; distance ties go to the lower
-    candidate index."""
-    locs = sorted(int(l) for l in locations)
-    if not locs:
-        raise ValueError("empty location set")
-    if len(set(locs)) != len(locs):
-        raise ValueError("duplicate location")
+    candidate index. Raises ``MalformedAssignmentError`` for locations that
+    ``validate`` rejects and ``ValueError`` for a set of the wrong size."""
+    locs = sorted_locations(locations)
+    check_locations(locs, instance.n_candidates)
     if len(locs) != instance.n_servers:
         raise ValueError(f"need exactly {instance.n_servers} locations, got {len(locs)}")
-    if locs[0] < 0 or locs[-1] >= instance.n_candidates:
-        raise ValueError(f"location out of range [0, {instance.n_candidates}): {locs}")
     cols = np.asarray(locs)
     nearest = np.argmin(instance.fronthaul[:, cols], axis=1)  # first minimum wins
-    return Assignment(tuple(locs), cols[nearest])
+    return Assignment(locs, cols[nearest])
 
 
 def kmedian_search(

@@ -14,7 +14,8 @@ cell to one of them. The two objectives are:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +50,8 @@ class GridSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        check_integer("rows", self.rows)
+        check_integer("cols", self.cols)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
         if not 0 < self.cell_size < math.inf:
@@ -77,8 +80,18 @@ def euclidean_fronthaul(cell_coords: np.ndarray, candidate_coords: np.ndarray) -
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def check_integer(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an ``int``; ``error`` unless it is an ``int`` or a numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_counts(n_cells: int, n_candidates: int, n_servers: int) -> None:
-    """At least one server, and no more servers than candidate locations or cells."""
+    """Integer counts: at least one server, and no more servers than candidate locations or cells."""
+    for name, count in (("n_cells", n_cells), ("n_candidates", n_candidates), ("n_servers", n_servers)):
+        check_integer(name, count)
     if not 1 <= n_servers <= n_candidates:
         raise ValueError("need 1 <= n_servers <= n_candidates")
     if n_servers > n_cells:
@@ -95,6 +108,45 @@ def check_seed(seed: int) -> None:
     """A random seed is a 64-bit unsigned integer."""
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
+
+
+def check_entries(name: str, a: np.ndarray) -> None:
+    """All entries of the matrix ``name`` are finite, then all are non-negative."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} entries must be finite; got a non-finite value")
+    if (a < 0).any():
+        raise ValueError(f"{name} entries must be non-negative")
+
+
+def check_grid(grid: GridSpec | None, n_cells: int) -> None:
+    """Grid layout metadata, when given, covers exactly ``n_cells`` cells."""
+    if grid is not None and grid.n_cells != n_cells:
+        raise ValueError("grid rows*cols must equal n_cells")
+
+
+def check_locations(locations, n_candidates: int) -> None:
+    """Server locations are candidate indices and distinct; MalformedAssignmentError otherwise."""
+    for l in locations:
+        if not 0 <= l < n_candidates:
+            raise MalformedAssignmentError(f"server location {l} out of range")
+    if len(set(locations)) != len(locations):
+        raise MalformedAssignmentError("duplicate server location")
+
+
+def sorted_locations(locations) -> tuple[int, ...]:
+    """Server locations as an ascending tuple of ints; MalformedAssignmentError for a non-integer."""
+    return tuple(sorted([check_integer("server location", l, MalformedAssignmentError) for l in locations]))
+
+
+def _fields_equal(self, other) -> bool:
+    """``==`` over every dataclass field, arrays compared by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -135,12 +187,9 @@ class Instance:
         n = cells.shape[0]
         if w.shape != (n, n):
             raise ValueError(f"workload must be ({n}, {n}), got {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("workload entries must be finite; got a non-finite value")
+        check_entries("workload", w)
         if not np.array_equal(w, w.T):
             raise ValueError("workload matrix must be symmetric")
-        if (w < 0).any():
-            raise ValueError("workload entries must be non-negative")
         upper_total = float(np.triu(w).sum())
         if abs(upper_total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(
@@ -151,12 +200,8 @@ class Instance:
         d = _frozen_array(euclidean_fronthaul(cells, cands) if self.fronthaul is None else self.fronthaul)
         if d.shape != (n, cands.shape[0]):
             raise ValueError("fronthaul must be (n_cells, n_candidates)")
-        if (d < 0).any():
-            raise ValueError("fronthaul entries must be non-negative")
-        if not np.isfinite(d).all():
-            raise ValueError("fronthaul entries must be finite; got a non-finite value")
-        if self.grid is not None and self.grid.n_cells != n:
-            raise ValueError("grid metadata does not match n_cells")
+        check_entries("fronthaul", d)
+        check_grid(self.grid, n)
         object.__setattr__(self, "cell_coords", cells)
         object.__setattr__(self, "candidate_coords", cands)
         object.__setattr__(self, "workload", w)
@@ -180,18 +225,7 @@ class Instance:
     def has_euclidean_fronthaul(self) -> bool:
         return np.array_equal(self.fronthaul, euclidean_fronthaul(self.cell_coords, self.candidate_coords))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.n_servers == other.n_servers
-            and self.capacity == other.capacity
-            and self.grid == other.grid
-            and np.array_equal(self.cell_coords, other.cell_coords)
-            and np.array_equal(self.candidate_coords, other.candidate_coords)
-            and np.array_equal(self.workload, other.workload)
-            and np.array_equal(self.fronthaul, other.fronthaul)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,19 +240,21 @@ class Assignment:
     cell_to_location: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "server_locations", tuple(sorted(int(l) for l in self.server_locations)))
-        object.__setattr__(self, "cell_to_location", _frozen_array(self.cell_to_location, dtype=np.int64))
+        cmap = np.asarray(self.cell_to_location)
+        if cmap.dtype.kind not in "iu":
+            raise MalformedAssignmentError(f"cell map must hold integers, got dtype {cmap.dtype}")
+        object.__setattr__(self, "server_locations", sorted_locations(self.server_locations))
+        object.__setattr__(self, "cell_to_location", _frozen_array(cmap, dtype=np.int64))
 
     def cells_of(self, location: int) -> np.ndarray:
         """Indices of cells assigned to ``location``, ascending (empty if none)."""
         return np.flatnonzero(self.cell_to_location == location)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Assignment):
-            return NotImplemented
-        return self.server_locations == other.server_locations and np.array_equal(
-            self.cell_to_location, other.cell_to_location
-        )
+    def occupied_servers(self) -> list[tuple[int, np.ndarray]]:
+        """``(location, cells)`` for each server holding at least one cell, locations ascending."""
+        return [(l, cells) for l in self.server_locations if (cells := self.cells_of(l)).size]
+
+    __eq__ = _fields_equal
 
 
 def validate(instance: Instance, assignment: Assignment) -> Violation | None:
@@ -234,14 +270,10 @@ def validate(instance: Instance, assignment: Assignment) -> Violation | None:
         raise MalformedAssignmentError(
             f"cell map has {cmap.shape[0]} entries for {instance.n_cells} cells"
         )
-    for l in locs:
-        if not 0 <= l < instance.n_candidates:
-            raise MalformedAssignmentError(f"server location {l} out of range")
-    if cmap.min() < 0 or cmap.max() >= instance.n_candidates:
-        bad = int(np.flatnonzero((cmap < 0) | (cmap >= instance.n_candidates))[0])
-        raise MalformedAssignmentError(f"cell {bad} mapped to out-of-range location {int(cmap[bad])}")
-    if len(set(locs)) != len(locs):
-        raise MalformedAssignmentError("duplicate server location")
+    check_locations(locs, instance.n_candidates)
+    bad = np.flatnonzero((cmap < 0) | (cmap >= instance.n_candidates))
+    if bad.size:
+        raise MalformedAssignmentError(f"cell {bad[0]} mapped to out-of-range location {cmap[bad[0]]}")
     if len(locs) != instance.n_servers:
         return Violation("server-count", len(locs))
     outside = np.flatnonzero(~np.isin(cmap, locs))

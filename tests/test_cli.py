@@ -247,6 +247,13 @@ def test_sweep_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, 
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_config_not_an_object_is_usage_error(tmp_path, capsys):
+    rc = main(["sweep", "--config", str(write_config(tmp_path, [0.5])), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "usage error: sweep config must be a JSON object\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_config_source_capacity_is_usage_error(tmp_path, capsys):
     config = {"source": {"n_cells": 12, "n_candidates": 5, "n_servers": 2, "capacity": 0.9}, "n_initials": 1}
     rc = main(["sweep", "--config", str(write_config(tmp_path, config)), "--out-dir", str(tmp_path / "out")])

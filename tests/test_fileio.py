@@ -240,6 +240,13 @@ class TestReport:
         with pytest.raises(ParseError, match="^line 4: non-finite value"):
             read_report(p)
 
+    def test_non_numeric_field_rejected(self, tmp_path):
+        p = tmp_path / "report.csv"
+        write_report(self.make_rows(), p)
+        p.write_text(p.read_text().replace(",0.89,", ",abc,"))
+        with pytest.raises(ParseError, match="^line 3: bad values"):
+            read_report(p)
+
 
 # ---------------------------------------------------------------------------
 # fuzzing: malformed text may only raise the readers' named errors

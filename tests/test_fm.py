@@ -23,7 +23,7 @@ def random_state(rng, max_cells=12):
     split = rng.random(n) < 0.5
     cells_a = np.flatnonzero(~split)
     cells_b = np.flatnonzero(split)
-    capacity = float(rng.uniform(0.1, w.sum()))
+    capacity = float(rng.uniform(0.1, max(0.1, w.sum())))  # two cells can weigh less than 0.1
     return w, cells_a, cells_b, capacity
 
 

@@ -63,6 +63,15 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="layout"):
             uniform_spec(layout="hexagons")
 
+    def test_unknown_workload_model_rejected(self):
+        with pytest.raises(ValueError, match="workload_model must be one of"):
+            uniform_spec(workload_model="poisson")
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_gravity_needs_positive_activity_sigma(self, sigma):
+        with pytest.raises(ValueError, match="activity_sigma must be positive"):
+            gravity_spec(activity_sigma=sigma)
+
 
 class TestGenUniform:
     def test_deterministic_given_seed(self):
@@ -138,6 +147,10 @@ class TestGenGravity:
         activity = rng.lognormal(mean=0.0, sigma=spec.activity_sigma, size=spec.n_cells)
         upper = np.outer(activity, activity)[np.triu_indices(spec.n_cells)]
         assert np.array_equal(inst.workload[np.triu_indices(spec.n_cells)], upper / upper.sum())
+
+    def test_rejects_uniform_model(self):
+        with pytest.raises(ValueError, match="gravity"):
+            gen_gravity(uniform_spec())
 
     def test_random_layout_allowed(self):
         spec = gravity_spec(layout="random", grid=None, n_cells=50)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgeplace import harness
-from edgeplace.fileio import read_report
+from edgeplace.fileio import read_report, write_instance
 from edgeplace.generate import GenSpec
 from edgeplace.harness import (
     SweepSpec,
@@ -16,7 +16,7 @@ from edgeplace.harness import (
     run_seed,
     run_sweep,
 )
-from edgeplace.model import Assignment, cost, spread
+from edgeplace.model import Assignment, Instance, cost, spread
 from edgeplace.pipeline import SolverConfig, solve
 from edgeplace.render import plot_curves, render_map, server_palette
 
@@ -120,6 +120,21 @@ class TestSweep:
         agg = report.aggregates[0]
         assert agg.cost_mean == agg.cost_min == agg.cost_max
         assert agg.spread_mean == agg.spread_min == agg.spread_max
+
+    def test_group_without_positive_min_load_has_empty_load_ratio(self, tmp_path):
+        # Cells 2 and 3 carry no demand; this RAND run leaves them alone on a server.
+        w = np.zeros((4, 4))
+        w[0, 0] = w[1, 1] = 0.25
+        w[0, 1] = w[1, 0] = 0.5
+        cells = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        write_instance(Instance(cells, cells[:3], w, 2, 0.5), tmp_path / "inst.txt")
+        spec = SweepSpec(str(tmp_path / "inst.txt"), capacities=(0.5,), n_location_sets=1, n_initials=1,
+                         algorithms=("RAND",), master_seed=1)
+        report = run_sweep(spec, out_dir=tmp_path)
+        assert [r.min_load for r in report.rows] == [0.0]
+        assert report.aggregates[0].load_ratio_mean is None
+        header, row = (line.split(",") for line in (tmp_path / "summary.csv").read_text().splitlines())
+        assert dict(zip(header, row, strict=True))["load_ratio_mean"] == ""
 
     def test_aggregates_match_recomputation_from_rows(self):
         report = run_sweep(small_spec())

@@ -22,13 +22,17 @@ class TestRelocationMatrix:
         with pytest.raises(ValueError, match="more servers"):
             RelocationMatrix((0, 1, 2), np.zeros((3, 2)))
 
+    def test_rejects_rows_not_matching_servers(self):
+        with pytest.raises(ValueError, match="one row per server"):
+            RelocationMatrix((0, 1), np.zeros((1, 3)))
+
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="relocation matrix entries must be non-negative"):
             RelocationMatrix((0,), np.array([[-1.0, 0.0]]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, value):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="relocation matrix entries must be finite"):
             RelocationMatrix((0,), np.array([[value, 0.0]]))
 
 

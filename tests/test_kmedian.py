@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgeplace.kmedian import DEFAULT_KAPPA, assign_cells, check_kappa, kmedian_search
-from edgeplace.model import Assignment, Instance, spread, validate
+from edgeplace.model import Assignment, Instance, MalformedAssignmentError, spread, validate
 
 from helpers import random_assignment, random_instance, swap_locations
 
@@ -58,7 +58,7 @@ class TestAssignCells:
     def test_errors(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng, 5, 4, 2)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="need exactly 2 locations, got 0"):
             assign_cells(inst, [])
         with pytest.raises(ValueError, match="duplicate"):
             assign_cells(inst, [1, 1])
@@ -71,6 +71,20 @@ class TestAssignCells:
         inst = random_instance(np.random.default_rng(7), 5, 5, 2)
         with pytest.raises(ValueError, match="out of range"):
             assign_cells(inst, locs)
+
+    @pytest.mark.parametrize("locs", [[1, 1], [-1, 0], [0, 5]])
+    def test_rejects_what_validate_rejects_with_its_message(self, locs):
+        inst = random_instance(np.random.default_rng(7), 5, 5, 2)
+        with pytest.raises(MalformedAssignmentError) as expected:
+            validate(inst, Assignment(tuple(locs), np.zeros(5, dtype=int)))
+        with pytest.raises(MalformedAssignmentError) as got:
+            assign_cells(inst, locs)
+        assert str(got.value) == str(expected.value)
+
+    def test_rejects_non_integer_location(self):
+        inst = random_instance(np.random.default_rng(7), 5, 5, 2)
+        with pytest.raises(MalformedAssignmentError, match="server location must be an integer, got 1.9"):
+            assign_cells(inst, [0, 1.9])
 
 
 class TestSwapLocations:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,47 @@ class TestInstanceConstruction:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             Instance(np.array([[0.0, 0.0], [1e300, 1e300]]), np.array([[-1e300, 0.0]]), w, 1, 0.5)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("cell_coords", np.zeros((2, 3)), r"cell_coords must be an \(n_cells, 2\) array"),
+            ("candidate_coords", np.zeros(2), r"candidate_coords must be an \(n_candidates, 2\) array"),
+            ("workload", np.ones((1, 1)), r"workload must be \(2, 2\), got \(1, 1\)"),
+            ("fronthaul", np.zeros((2, 2)), r"fronthaul must be \(n_cells, n_candidates\)"),
+            ("fronthaul", [[0.0], [-1.0]], "fronthaul entries must be non-negative"),
+            # Finiteness is checked before the sign, as for the workload.
+            ("fronthaul", [[0.0], [-math.inf]], "fronthaul entries must be finite"),
+            ("grid", GridSpec(1, 3, 1.0), r"grid rows\*cols must equal n_cells"),
+            ("n_servers", 1.5, "n_servers must be an integer, got 1.5"),
+        ],
+    )
+    def test_rejects_malformed_field(self, field, value, message):
+        fields = dict(
+            cell_coords=np.zeros((2, 2)),
+            candidate_coords=np.zeros((1, 2)),
+            workload=np.array([[0.5, 0.25], [0.25, 0.25]]),
+            n_servers=1,
+            capacity=0.5,
+        )
+        with pytest.raises(ValueError, match=message):
+            Instance(**{**fields, field: value})
+
+    def test_equality_reads_every_field(self):
+        inst = two_cell_instance()
+        changed = {
+            "cell_coords": [[0.0, 0.0], [2.0, 0.0]],
+            "candidate_coords": [[0.0, 1.0], [1.0, 2.0]],
+            "workload": [[0.5, 0.0], [0.0, 0.5]],
+            "n_servers": 1,
+            "capacity": 0.5,
+            "fronthaul": np.ones((2, 2)),
+            "grid": GridSpec(1, 2, 1.0),
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(Instance)}
+        assert dataclasses.replace(inst) == inst
+        for name, value in changed.items():
+            assert dataclasses.replace(inst, **{name: value}) != inst, name
+
     def test_rejects_too_many_servers(self):
         w = np.array([[0.5, 0.25], [0.25, 0.0]])
         with pytest.raises(ValueError):
@@ -134,6 +176,23 @@ class TestValidate:
         report = validate(inst, a)
         assert report is not None
         assert report.constraint == "server-count"
+
+    @pytest.mark.parametrize(
+        "locs, cmap, message",
+        [
+            ((0, 1.9), [0, 1, 1], "server location must be an integer, got 1.9"),
+            ((0, 1), [0.7, 1.2, 1.99], "cell map must hold integers, got dtype float64"),
+        ],
+    )
+    def test_non_integer_index_is_malformed(self, locs, cmap, message):
+        with pytest.raises(MalformedAssignmentError, match=message):
+            Assignment(locs, np.array(cmap))
+
+    def test_numpy_integer_indices_are_accepted(self):
+        a = Assignment((np.int64(1), np.uint8(0)), np.array([1, 0], dtype=np.int32))
+        assert a == Assignment((0, 1), np.array([1, 0]))
+        assert a != Assignment((0, 1), np.array([0, 1]))
+        assert a != Assignment((0, 2), np.array([1, 0]))
 
     def test_wrong_map_length_is_malformed(self):
         inst = two_cell_instance()
@@ -329,6 +388,8 @@ def test_grid_spec_centers_and_bounds():
         (2, 2, math.nan),
         (2, 2, 0.0),
         (0, 2, 0.1),
+        (2.5, 2, 1.0),
+        (2, 2.0, 1.0),
     ],
 )
 def test_grid_spec_rejects_bad_values(args):
