@@ -30,22 +30,36 @@ A pass runs on one of two kernels that do the same IEEE operations in the
 same order, so both give the same result to the last bit. Pairs of at most
 ``SMALL_PAIR`` cells run on Python floats (``_FloatState``: lists for the
 per-position vectors and the weight rows, ``_select_floats``). On a pair of a
-few cells a numpy move costs about 20 calls on as many elements, so per-call
+few cells a numpy move costs about 18 calls on as many elements, so per-call
 overhead outweighs the arithmetic. Larger pairs run on numpy vectors
 (``PartitionState``, ``_select``), whose cost per move grows more slowly with
 the pair. ``SMALL_PAIR`` is the measured crossover: replaying the recorded
-``move_cells`` inputs of ``FM_HUNG`` solves on the benchmark's ``uniform-500``
-and ``sites-250`` instances and on the acceptance gravity-625 instance (2-core
-x86 VM, CPython 3.11, numpy 2.4), ``move_cells`` on the float pass took
-0.5-0.9x the time of the numpy pass on pairs of 1 to 64 cells, 1.0-1.1x on 65
-to 72 cells and 1.1-2.5x above. Set-up stays in numpy for both (``from_sets``,
-the BLAS mat-vec in ``recompute_sums``, ``delta``).
+``move_cells`` inputs of ``FM_HUNG`` and ``KMED_FM_HUNG`` solves on the
+benchmark's ``uniform-500`` and ``sites-250`` instances and on the acceptance
+gravity-625 instance (2-core x86 VM, CPython 3.11, numpy 2.4), ``move_cells``
+on the float pass took 0.6-0.95x the time of the numpy pass on pairs of up
+to 40 cells, 1.03-1.04x on 41 to 48 cells and mostly 1.1-3.6x above. Set-up
+stays in numpy for both (``from_sets``, the BLAS mat-vec in
+``recompute_sums``, ``delta``).
+
+The numpy pass reads stacked rows that ``recompute_sums`` builds: row 0 for
+each position's own side and row 1 for the other side. ``own_off`` and
+``other`` are the two rows of one array, and the pass also keeps each
+position's index into ``(load_a, load_b)`` per row, ``(-diag; diag)``, and
+the +-1 signs of the row update for a move off either side. ``_select`` then
+computes both new loads of every position at once, and marks an ineligible
+position by an infinite overflow, so its gain is -inf. Ties go to
+the lowest cell id. ``from_sets`` of ascending cellsets lays the cells out as
+two ascending runs, and the first maximum of an ascending run is its
+lowest-id maximum, so ``_select`` compares at most two ``argmax`` results;
+any other layout searches every tied position.
 
 Both kernels move each cell through ``PartitionState.apply_move``, which
 leaves only the update of the other positions' sums to ``_update_rows``; the
 benchmark's tracer counts moves by wrapping ``apply_move``, and counts pair
 calls by wrapping this module's ``move_cells``, which ``cost_descent`` looks
-up at call time.
+up at call time. A pair call that keeps no pass returns its input
+assignment, so ``cost_descent`` recognises a no-op by identity.
 """
 from __future__ import annotations
 
@@ -62,7 +76,7 @@ MAX_SWEEPS = 100
 
 # Pairs of at most this many cells run the pass on Python floats, larger ones
 # on numpy vectors (see the module docstring).
-SMALL_PAIR = 64
+SMALL_PAIR = 40
 
 
 def delta_cost(workload: np.ndarray, cells_a, cells_b, capacity: float) -> float:
@@ -132,11 +146,30 @@ class PartitionState:
         in_a = 1.0 - in_b
         to_a = self.weights @ in_a
         to_b = self.weights @ in_b
-        own_total = np.where(side, to_b, to_a)  # includes the cell's own diagonal
-        self.own_off = own_total - self.diag
-        self.other = np.where(side, to_a, to_b)
+        # Rows: each cell's total to its own side (its diagonal included),
+        # then to the other side.
+        sums = np.where(side, (to_b, to_a), (to_a, to_b))
+        sums[0] -= self.diag
         self.load_a = cellset_load(self.weights, np.flatnonzero(~side))
         self.load_b = cellset_load(self.weights, np.flatnonzero(side))
+        self._store_sums(sums, side)
+
+    def _store_sums(self, sums: np.ndarray, side: np.ndarray) -> None:
+        """Keep ``own_off`` and ``other`` as the rows of ``sums``, and build
+        the other stacked (own; other) rows of the numpy pass: ``load_index``
+        picks each position's own and other load from ``(load_a, load_b)``,
+        ``diag_pm`` is (-diag; diag), and row ``k`` of ``signs`` holds the
+        signs of the row update for a move off side ``k`` (a = 0, b = 1):
+        -1 on that side, +1 on the other. ``split`` starts the second of the
+        ascending runs that make up ``cells``: 0 for one run, None for more
+        than two."""
+        self.sums = sums
+        self.own_off, self.other = sums
+        self.load_index = np.array((side, ~side), dtype=np.intp)
+        self.diag_pm = np.multiply.outer((-1.0, 1.0), self.diag)
+        self.signs = np.multiply.outer((1.0, -1.0), np.where(side, 1.0, -1.0))
+        drops = np.flatnonzero(self.cells[1:] < self.cells[:-1])
+        self.split = None if drops.size > 1 else int(drops[0]) + 1 if drops.size else 0
 
     def delta(self, capacity: float) -> float:
         """``delta_cost`` of the current sides: the cut weight from scratch plus
@@ -182,14 +215,19 @@ class PartitionState:
 
     def _update_rows(self, pos: int, old_side: bool) -> None:
         """Update ``own_off`` and ``other`` at every position for the move of
-        the cell at ``pos`` off side ``old_side``."""
+        the cell at ``pos`` off side ``old_side``, and flip the stacked rows
+        at ``pos``."""
         # The moved cell's weight leaves the own sums of its old side and
         # joins those of its new side; ``weights`` is symmetric, so its row is
         # its column. Negation is exact, so one signed update reproduces the
         # separate subtract/add updates bit for bit.
-        signed = self.weights[pos] * np.where(self.side == old_side, -1.0, 1.0)
+        old = int(old_side)
+        signed = self.weights[pos] * self.signs[old]
         self.own_off += signed
         self.other -= signed
+        # ``pos`` is now on side ``1 - old``.
+        self.signs[old, pos], self.signs[1 - old, pos] = 1.0, -1.0
+        self.load_index[0, pos], self.load_index[1, pos] = 1 - old, old
 
 
 class _FloatState(PartitionState):
@@ -205,10 +243,8 @@ class _FloatState(PartitionState):
         self.locked = self.locked.tolist()
         self.rows = self.weights.tolist()
 
-    def recompute_sums(self) -> None:
-        super().recompute_sums()
-        self.own_off = self.own_off.tolist()
-        self.other = self.other.tolist()
+    def _store_sums(self, sums: np.ndarray, side: np.ndarray) -> None:
+        self.own_off, self.other = sums.tolist()
 
     def _update_rows(self, pos: int, old_side: bool) -> None:
         # The numpy update term by term: its signed term is ``-w`` where the
@@ -233,16 +269,40 @@ def vertex_gain(state: PartitionState, capacity: float, cell: int) -> tuple[floa
 
 
 def _select(state: PartitionState, capacity: float):
-    """Highest-gain eligible unlocked position; ties go to the lowest cell id."""
-    gains, eligible = state.gains(capacity)
-    eligible &= ~state.locked
-    masked = np.where(eligible, gains, -np.inf)
-    best = masked.max()
-    if best == -np.inf:
-        return None
-    tied = (masked == best).nonzero()[0]
-    pos = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(state.cells[tied])])
-    return pos, float(gains[pos])
+    """Highest-gain eligible unlocked position; ties go to the lowest cell id.
+
+    ``gains``' IEEE operations in the same order, on the stacked rows: both
+    new loads at once (``x + -d`` is ``x - d``), and one overflow array in
+    which an ineligible position overflows by +inf, so that its gain is -inf
+    (the other terms are finite, so no inf - inf arises). A locked
+    position's gain is set to -inf."""
+    load_a, load_b = state.load_a, state.load_b
+    loads = np.array((load_a, load_b)).take(state.load_index)
+    loads += state.diag_pm
+    loads[0] -= state.own_off
+    loads[1] += state.other
+    over = loads - capacity
+    np.maximum(over, 0.0, out=over)
+    np.putmask(over, loads > max(capacity, load_a, load_b), math.inf)
+    base = max(load_a - capacity, 0.0) + max(load_b - capacity, 0.0)
+    gain = np.subtract(base, over[0], out=over[0])
+    gain -= over[1]
+    np.add(state.other - state.own_off, gain, out=gain)
+    np.putmask(gain, state.locked, -math.inf)
+    split, cells = state.split, state.cells
+    if split is None:
+        tied = (gain == gain.max()).nonzero()[0]
+        pos = int(tied[np.argmin(cells[tied])])
+    else:
+        # The first maximum of an ascending run is its lowest-id maximum, so
+        # only a maximum in the first run can lose to the second run's.
+        pos = int(gain.argmax())
+        if pos < split:
+            second = split + int(gain[split:].argmax())
+            if gain[second] == gain[pos] and cells[second] < cells[pos]:
+                pos = second
+    best = float(gain[pos])
+    return None if best == -math.inf else (pos, best)
 
 
 def _select_floats(state: _FloatState, capacity: float):
@@ -278,7 +338,9 @@ def _select_floats(state: _FloatState, capacity: float):
 
 def move_cells(instance: Instance, assignment: Assignment, l0: int, l1: int) -> Assignment:
     """Migrate cells between the servers at ``l0`` and ``l1`` to reduce their
-    joint cost contribution. Cells of other servers are untouched."""
+    joint cost contribution. Cells of other servers are untouched. Returns
+    ``assignment`` itself when no pass is kept; a kept pass strictly lowers
+    the pair's ``delta_cost``, so any other result differs from it."""
     locs = set(assignment.server_locations)
     if l0 not in locs or l1 not in locs:
         raise ValueError("both locations must be in the server set")
@@ -290,6 +352,7 @@ def move_cells(instance: Instance, assignment: Assignment, l0: int, l1: int) -> 
     select = _select_floats if small else _select
     capacity = instance.capacity
     start_delta = state.delta(capacity)
+    kept = False
     while True:
         start_side = state.side.copy()
         state.locked[:] = [False] * state.cells.size  # an array or a list
@@ -319,6 +382,9 @@ def move_cells(instance: Instance, assignment: Assignment, l0: int, l1: int) -> 
             state.side = start_side
             break
         start_delta = end_delta
+        kept = True
+    if not kept:
+        return assignment
     new_map = assignment.cell_to_location.copy()
     new_map[state.cellset(False)] = l0
     new_map[state.cellset(True)] = l1
@@ -371,7 +437,7 @@ def cost_descent(
                 else:
                     candidate = move_cells(instance, current, l0, l1)
                     result = None
-                    if candidate != current:
+                    if candidate is not current and candidate != current:
                         cells0, cells1 = candidate.cells_of(l0), candidate.cells_of(l1)
                         result = (cells0, cells1, cellset_load(w, cells0), cellset_load(w, cells1))
                     memo[(l0, l1)] = result

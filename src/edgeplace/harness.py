@@ -27,7 +27,7 @@ import numpy as np
 
 from .fileio import AggregateRow, RunRow, read_instance, write_report, write_summary
 from .generate import GenSpec, generate, uniform_points
-from .model import Instance, cellset_load, check_capacity
+from .model import Instance, cellset_load, check_capacity, check_integer
 from .pipeline import ALGORITHMS, SolverConfig, solve
 
 DEFAULT_CAPACITIES = (0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
@@ -52,6 +52,8 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one capacity and one algorithm")
         for c in self.capacities:
             check_capacity(c)
+        for name in ("n_location_sets", "n_initials", "master_seed"):
+            check_integer(name, getattr(self, name))
         if self.n_location_sets < 1 or self.n_initials < 1:
             raise ValueError("seed counts must be >= 1")
         for a in self.algorithms:

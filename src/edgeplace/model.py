@@ -106,7 +106,7 @@ def check_capacity(capacity: float) -> None:
 
 def check_seed(seed: int) -> None:
     """A random seed is a 64-bit unsigned integer."""
-    if not 0 <= seed < 2**64:
+    if not 0 <= check_integer("seed", seed) < 2**64:
         raise ValueError("seed must fit in 64 bits")
 
 

@@ -67,6 +67,10 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="workload_model must be one of"):
             uniform_spec(workload_model="poisson")
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+            uniform_spec(seed=2.5)
+
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_gravity_needs_positive_activity_sigma(self, sigma):
         with pytest.raises(ValueError, match="activity_sigma must be positive"):

@@ -66,6 +66,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="master_seed"):
             small_spec(master_seed=-5)
 
+    @pytest.mark.parametrize("name", ["n_location_sets", "n_initials", "master_seed"])
+    def test_rejects_non_integer_count_or_seed(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
+            small_spec(**{name: 1.5})
+
     def test_full_capacity_sweeps(self):
         # Same capacity domain as Instance: (0, 1], so 1.0 is allowed.
         rep = run_sweep(small_spec(capacities=(1.0,), n_location_sets=1, n_initials=1))

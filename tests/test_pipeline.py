@@ -49,6 +49,10 @@ class TestSolverConfig:
     def test_epsilon_inf_allowed(self):
         assert math.isinf(SolverConfig("RAND", seed=0).epsilon)
 
+    def test_rejects_non_integer_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            SolverConfig("RAND", seed=1.5)
+
 
 class TestRandomAssignment:
     def test_deterministic(self, small_instance):
