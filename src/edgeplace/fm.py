@@ -48,11 +48,9 @@ each position's own side and row 1 for the other side. ``own_off`` and
 position's index into ``(load_a, load_b)`` per row, ``(-diag; diag)``, and
 the +-1 signs of the row update for a move off either side. ``_select`` then
 computes both new loads of every position at once, and marks an ineligible
-position by an infinite overflow, so its gain is -inf. Ties go to
-the lowest cell id. ``from_sets`` of ascending cellsets lays the cells out as
-two ascending runs, and the first maximum of an ascending run is its
-lowest-id maximum, so ``_select`` compares at most two ``argmax`` results;
-any other layout searches every tied position.
+position by an infinite overflow, so its gain is -inf. Ties go to the lowest
+cell id: ``_select`` takes the first ``argmax`` of the gains gathered in
+ascending cell id, whatever order ``cells`` is in.
 
 Both kernels move each cell through ``PartitionState.apply_move``, which
 leaves only the update of the other positions' sums to ``_update_rows``; the
@@ -109,11 +107,16 @@ class PartitionState:
 
     @classmethod
     def from_sets(cls, workload: np.ndarray, cells_a, cells_b) -> "PartitionState":
-        cells_a = np.asarray(cells_a, dtype=int)
-        cells_b = np.asarray(cells_b, dtype=int)
-        if not set(cells_a.tolist()).isdisjoint(cells_b.tolist()):
-            raise ValueError("cellsets overlap")
+        """``ValueError`` unless the two cellsets hold distinct integer cell ids of ``workload``."""
+        cells_a, cells_b = (np.asarray(c) if len(c) else np.zeros(0, np.intp) for c in (cells_a, cells_b))
         cells = np.concatenate([cells_a, cells_b])
+        if cells.dtype.kind not in "iu":
+            raise ValueError(f"cell ids must be integers, got dtype {cells.dtype}")
+        ids = sorted(cells.tolist())
+        if ids and not 0 <= ids[0] <= ids[-1] < len(workload):
+            raise ValueError(f"cell ids must lie in [0, {len(workload)})")
+        if len(set(ids)) != len(ids):
+            raise ValueError("cellsets overlap: a cell id appears twice")
         side = np.zeros(cells.size, dtype=bool)
         side[cells_a.size:] = True
         sub = workload[cells[:, None], cells]
@@ -160,16 +163,14 @@ class PartitionState:
         picks each position's own and other load from ``(load_a, load_b)``,
         ``diag_pm`` is (-diag; diag), and row ``k`` of ``signs`` holds the
         signs of the row update for a move off side ``k`` (a = 0, b = 1):
-        -1 on that side, +1 on the other. ``split`` starts the second of the
-        ascending runs that make up ``cells``: 0 for one run, None for more
-        than two."""
+        -1 on that side, +1 on the other. ``order`` lists the positions in
+        ascending cell id, for ``_select``'s tie rule."""
         self.sums = sums
         self.own_off, self.other = sums
         self.load_index = np.array((side, ~side), dtype=np.intp)
         self.diag_pm = np.multiply.outer((-1.0, 1.0), self.diag)
         self.signs = np.multiply.outer((1.0, -1.0), np.where(side, 1.0, -1.0))
-        drops = np.flatnonzero(self.cells[1:] < self.cells[:-1])
-        self.split = None if drops.size > 1 else int(drops[0]) + 1 if drops.size else 0
+        self.order = np.argsort(self.cells)
 
     def delta(self, capacity: float) -> float:
         """``delta_cost`` of the current sides: the cut weight from scratch plus
@@ -289,18 +290,8 @@ def _select(state: PartitionState, capacity: float):
     gain -= over[1]
     np.add(state.other - state.own_off, gain, out=gain)
     np.putmask(gain, state.locked, -math.inf)
-    split, cells = state.split, state.cells
-    if split is None:
-        tied = (gain == gain.max()).nonzero()[0]
-        pos = int(tied[np.argmin(cells[tied])])
-    else:
-        # The first maximum of an ascending run is its lowest-id maximum, so
-        # only a maximum in the first run can lose to the second run's.
-        pos = int(gain.argmax())
-        if pos < split:
-            second = split + int(gain[split:].argmax())
-            if gain[second] == gain[pos] and cells[second] < cells[pos]:
-                pos = second
+    order = state.order
+    pos = int(order[gain[order].argmax()])
     best = float(gain[pos])
     return None if best == -math.inf else (pos, best)
 
@@ -409,7 +400,7 @@ def cost_descent(
     check_valid(instance, assignment)
     if math.isnan(spread_cap):
         raise ValueError("spread_cap must not be NaN")
-    locs = sorted(set(assignment.server_locations))
+    locs = assignment.server_locations  # ascending and distinct
     capacity = instance.capacity
     w = instance.workload
     current = assignment
@@ -437,7 +428,7 @@ def cost_descent(
                 else:
                     candidate = move_cells(instance, current, l0, l1)
                     result = None
-                    if candidate is not current and candidate != current:
+                    if candidate is not current:
                         cells0, cells1 = candidate.cells_of(l0), candidate.cells_of(l1)
                         result = (cells0, cells1, cellset_load(w, cells0), cellset_load(w, cells1))
                     memo[(l0, l1)] = result

@@ -17,6 +17,7 @@ sorted on a fixed key before aggregation and writing.
 """
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +48,12 @@ class SweepSpec:
     epsilon: float = SolverConfig.epsilon
 
     def __post_init__(self):
+        for name in ("capacities", "algorithms"):
+            values = getattr(self, name)
+            if isinstance(values, (str, numbers.Number)):
+                raise ValueError(f"{name} must be a sequence, got {values!r}")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {values!r}")
         object.__setattr__(self, "capacities", tuple(map(float, self.capacities)))  # written as floats
         if not self.capacities or not self.algorithms:
             raise ValueError("a sweep needs at least one capacity and one algorithm")
@@ -164,8 +171,8 @@ def aggregate_rows(rows: list[RunRow]) -> list[AggregateRow]:
 
 
 def check_jobs(jobs: int) -> int:
-    """A worker count for ``run_sweep``: at least 1."""
-    if jobs < 1:
+    """A worker count for ``run_sweep``: an integer, at least 1."""
+    if check_integer("jobs", jobs) < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Assignment, Instance, check_locations, check_valid, sorted_locations, spread
+from .model import Assignment, Instance, check_locations, check_number, check_valid, sorted_locations, spread
 
 DEFAULT_KAPPA = 1e-4
 
 
 def check_kappa(kappa: float) -> None:
     """``kappa``, the minimum relative improvement for accepting a swap, lies in (0, 1)."""
-    if not 0.0 < kappa < 1.0:
+    if not 0.0 < check_number("kappa", kappa) < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
 
 

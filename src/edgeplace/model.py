@@ -14,6 +14,7 @@ cell to one of them. The two objectives are:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -86,6 +87,13 @@ def check_integer(name: str, value, error: type[ValueError] = ValueError) -> int
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_number(name: str, value) -> float:
+    """``value`` as a ``float``; ``ValueError`` unless it is a real number (not a string or ``None``)."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def check_counts(n_cells: int, n_candidates: int, n_servers: int) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from .fm import cost_descent
 from .hungarian import relocate
 from .kmedian import DEFAULT_KAPPA, check_kappa, kmedian_search
-from .model import Assignment, Instance, Objectives, check_seed, objectives
+from .model import Assignment, Instance, Objectives, check_number, check_seed, objectives
 
 ALGORITHMS = ("RAND", "KMED", "FM_HUNG", "KMED_FM_HUNG")
 
@@ -40,7 +40,7 @@ class SolverConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         check_kappa(self.kappa)
-        if not self.epsilon >= 0:  # rejects NaN too
+        if not check_number("epsilon", self.epsilon) >= 0:  # rejects NaN too
             raise ValueError("epsilon must be >= 0 (math.inf allowed)")
         check_seed(self.seed)
 

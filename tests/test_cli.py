@@ -99,6 +99,8 @@ def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
         ("sweep --instance {nope} --capacities 2 --out-dir {tmp}", "capacity must lie in (0, 1]"),
         ("sweep --instance {nope} --loc-sets 0 --out-dir {tmp}", "seed counts must be >= 1"),
         ("sweep --instance {nope} --algos FOO --out-dir {tmp}", "unknown algorithm 'FOO'"),
+        ("sweep --instance {nope} --capacities 0.5,0.5 --out-dir {tmp}", "capacities must not repeat an entry"),
+        ("sweep --instance {nope} --algos KMED,KMED --out-dir {tmp}", "algorithms must not repeat an entry"),
         ("gen --cells 20 --candidates 5 --servers 0 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
         ("gen --cells 20 --candidates 5 --servers 9 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
         ("gen --cells 3 --candidates 5 --servers 4 --capacity 0.5 --out {nope}", "need n_servers <= n_cells"),

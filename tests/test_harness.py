@@ -71,6 +71,30 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
             small_spec(**{name: 1.5})
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"capacities": (0.5, 0.5)}, "capacities must not repeat an entry"),
+            ({"capacities": (0.5, 0.25, 0.5)}, "capacities must not repeat an entry"),
+            ({"algorithms": ("RAND", "RAND")}, "algorithms must not repeat an entry"),
+        ],
+    )
+    def test_rejects_a_repeated_entry(self, overrides, match):
+        # Each solve would run twice, and runs.csv would hold its row twice.
+        with pytest.raises(ValueError, match=match):
+            small_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"algorithms": "KMED"}, "algorithms must be a sequence, got 'KMED'"),
+            ({"capacities": 0.5}, "capacities must be a sequence, got 0.5"),
+        ],
+    )
+    def test_rejects_a_bare_value(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_spec(**overrides)
+
     def test_full_capacity_sweeps(self):
         # Same capacity domain as Instance: (0, 1], so 1.0 is allowed.
         rep = run_sweep(small_spec(capacities=(1.0,), n_location_sets=1, n_initials=1))
@@ -82,6 +106,12 @@ class TestJobs:
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_fewer_than_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
+            run_sweep(small_spec(), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1.5, "2"])
+    def test_rejects_a_non_integer(self, jobs):
+        # Rejected before the instance is built or a worker is started.
+        with pytest.raises(ValueError, match=f"jobs must be an integer, got {jobs!r}"):
             run_sweep(small_spec(), jobs=jobs)
 
     def test_workers_capped_at_chunk_count(self, monkeypatch):

@@ -46,6 +46,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="epsilon"):
             SolverConfig("FM_HUNG", seed=0, epsilon=math.nan)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"kappa": "x"}, "kappa must be a number, got 'x'"),
+            ({"epsilon": "inf"}, "epsilon must be a number, got 'inf'"),
+            ({"epsilon": None}, "epsilon must be a number, got None"),
+        ],
+    )
+    def test_rejects_a_non_number(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig("RAND", seed=0, **overrides)
+
     def test_epsilon_inf_allowed(self):
         assert math.isinf(SolverConfig("RAND", seed=0).epsilon)
 
