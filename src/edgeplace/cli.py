@@ -31,7 +31,7 @@ from .fileio import (
 from .generate import LAYOUTS, WORKLOAD_MODELS, GenSpec, generate
 from .harness import SweepSpec, aggregate_rows, check_jobs, run_sweep
 from .model import GridSpec
-from .oracle import enumerate_assignments
+from .oracle import check_budget, enumerate_assignments
 from .pipeline import ALGORITHMS, SolverConfig, solve
 from .render import plot_curves, render_map
 
@@ -117,6 +117,13 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(text.split(","))
 
 
+def _comma_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, _comma_list(text)))
+    except ValueError as e:  # else argparse names only the option and its value
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def add_gen_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cells", dest="n_cells", type=int, help="number of cells")
     parser.add_argument("--candidates", dest="n_candidates", type=int, help="number of candidate locations")
@@ -193,8 +200,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    options = _given(args, ["budget"])
+    if options:
+        _usage_errors(check_budget)(options["budget"])
     inst = read_instance(args.instance)
-    result = enumerate_assignments(inst, **_given(args, ["budget"]))
+    result = enumerate_assignments(inst, **options)
     print(f"min_cost={result.min_cost!r}")
     print(f"min_spread={result.min_spread!r}")
     print(f"pareto_size={len(result.pareto)}")
@@ -251,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_gen_arguments(p)
     p.add_argument("--instance", dest="source", help="instance file (instead of generator options)")
     p.add_argument("--config", help="JSON file of sweep spec fields")
-    p.add_argument("--capacities", type=_comma_list, help="comma-separated capacities")
+    p.add_argument("--capacities", type=_comma_floats, help="comma-separated capacities")
     p.add_argument("--loc-sets", dest="n_location_sets", type=int)
     p.add_argument("--initials", dest="n_initials", type=int)
     p.add_argument("--algos", dest="algorithms", type=_comma_list, help="comma-separated algorithm names")

@@ -55,7 +55,6 @@ class ParseError(ValueError):
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class SchemaError(ValueError):

@@ -46,11 +46,12 @@ The numpy pass reads stacked rows that ``recompute_sums`` builds: row 0 for
 each position's own side and row 1 for the other side. ``own_off`` and
 ``other`` are the two rows of one array, and the pass also keeps each
 position's index into ``(load_a, load_b)`` per row, ``(-diag; diag)``, and
-the +-1 signs of the row update for a move off either side. ``_select`` then
-computes both new loads of every position at once, and marks an ineligible
-position by an infinite overflow, so its gain is -inf. Ties go to the lowest
-cell id: ``_select`` takes the first ``argmax`` of the gains gathered in
-ascending cell id, whatever order ``cells`` is in.
+the +-1 signs of the row update for a move off either side. ``gains`` and
+``_select`` share one formula: ``_moved_loads`` computes both new loads of
+every position at once and ``_gain`` their gains. ``_select`` marks an
+ineligible position by an infinite overflow, so its gain is -inf, and takes
+the first ``argmax`` of the gains gathered in ascending cell id: ties go to
+the lowest cell id, whatever order ``cells`` is in.
 
 Both kernels move each cell through ``PartitionState.apply_move``, which
 leaves only the update of the other positions' sums to ``_update_rows``; the
@@ -97,11 +98,11 @@ class PartitionState:
     side: np.ndarray  # bool per position; False = side a, True = side b
     weights: np.ndarray  # symmetric submatrix over ``cells``
     diag: np.ndarray
-    own_off: np.ndarray
-    other: np.ndarray
-    load_a: float
-    load_b: float
     locked: np.ndarray
+    own_off: np.ndarray = field(init=False)
+    other: np.ndarray = field(init=False)
+    load_a: float = field(init=False)
+    load_b: float = field(init=False)
     move_log: list[tuple[int, bool]] = field(default_factory=list)
     gain_log: list[float] = field(default_factory=list)
 
@@ -125,10 +126,6 @@ class PartitionState:
             side=side,
             weights=sub,
             diag=sub.diagonal().copy(),
-            own_off=np.zeros(cells.size),
-            other=np.zeros(cells.size),
-            load_a=0.0,
-            load_b=0.0,
             locked=np.zeros(cells.size, dtype=bool),
         )
         state.recompute_sums()
@@ -165,7 +162,6 @@ class PartitionState:
         signs of the row update for a move off side ``k`` (a = 0, b = 1):
         -1 on that side, +1 on the other. ``order`` lists the positions in
         ascending cell id, for ``_select``'s tie rule."""
-        self.sums = sums
         self.own_off, self.other = sums
         self.load_index = np.array((side, ~side), dtype=np.intp)
         self.diag_pm = np.multiply.outer((-1.0, 1.0), self.diag)
@@ -185,16 +181,9 @@ class PartitionState:
 
     def gains(self, capacity: float) -> tuple[np.ndarray, np.ndarray]:
         """(gain, eligible) arrays over all positions, locked ones included."""
-        own_load = np.where(self.side, self.load_b, self.load_a)
-        other_load = np.where(self.side, self.load_a, self.load_b)
-        new_own = own_load - self.diag - self.own_off
-        new_other = other_load + self.diag + self.other
-        # Overflow of the current loads is the same for every position.
-        base = max(self.load_a - capacity, 0.0) + max(self.load_b - capacity, 0.0)
-        gain = (self.other - self.own_off) + (
-            (base - np.maximum(new_own - capacity, 0.0)) - np.maximum(new_other - capacity, 0.0)
-        )
-        eligible = np.maximum(new_own, new_other) <= max(capacity, self.load_a, self.load_b)
+        loads = _moved_loads(self)
+        gain = _gain(self, np.maximum(loads - capacity, 0.0), capacity)
+        eligible = (loads <= max(capacity, self.load_a, self.load_b)).all(axis=0)
         return gain, eligible
 
     def apply_move(self, pos: int, gain: float) -> None:
@@ -269,29 +258,35 @@ def vertex_gain(state: PartitionState, capacity: float, cell: int) -> tuple[floa
     return float(gains[pos]), bool(eligible[pos])
 
 
-def _select(state: PartitionState, capacity: float):
-    """Highest-gain eligible unlocked position; ties go to the lowest cell id.
-
-    ``gains``' IEEE operations in the same order, on the stacked rows: both
-    new loads at once (``x + -d`` is ``x - d``), and one overflow array in
-    which an ineligible position overflows by +inf, so that its gain is -inf
-    (the other terms are finite, so no inf - inf arises). A locked
-    position's gain is set to -inf."""
-    load_a, load_b = state.load_a, state.load_b
-    loads = np.array((load_a, load_b)).take(state.load_index)
+def _moved_loads(state: PartitionState) -> np.ndarray:
+    """Both new loads of every position if its cell moved: row 0 its own
+    side's, row 1 the other side's (``x + -d`` is ``x - d``)."""
+    loads = np.array((state.load_a, state.load_b)).take(state.load_index)
     loads += state.diag_pm
     loads[0] -= state.own_off
     loads[1] += state.other
-    over = loads - capacity
-    np.maximum(over, 0.0, out=over)
-    np.putmask(over, loads > max(capacity, load_a, load_b), math.inf)
-    base = max(load_a - capacity, 0.0) + max(load_b - capacity, 0.0)
+    return loads
+
+
+def _gain(state: PartitionState, over: np.ndarray, capacity: float) -> np.ndarray:
+    """Each position's gain from the overflows ``over`` of its two new loads, written into ``over[0]``."""
+    base = max(state.load_a - capacity, 0.0) + max(state.load_b - capacity, 0.0)
     gain = np.subtract(base, over[0], out=over[0])
     gain -= over[1]
-    np.add(state.other - state.own_off, gain, out=gain)
+    return np.add(state.other - state.own_off, gain, out=gain)
+
+
+def _select(state: PartitionState, capacity: float):
+    """Highest-gain eligible unlocked position, ties to the lowest cell id. An
+    ineligible position overflows by +inf, so its gain is -inf (no other term
+    is infinite, so no inf - inf arises); a locked position's is set to -inf."""
+    loads = _moved_loads(state)
+    over = loads - capacity
+    np.maximum(over, 0.0, out=over)
+    np.putmask(over, loads > max(capacity, state.load_a, state.load_b), math.inf)
+    gain = _gain(state, over, capacity)
     np.putmask(gain, state.locked, -math.inf)
-    order = state.order
-    pos = int(order[gain[order].argmax()])
+    pos = int(state.order[gain[state.order].argmax()])
     best = float(gain[pos])
     return None if best == -math.inf else (pos, best)
 

@@ -15,11 +15,12 @@ in this fixed order:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, Instance, check_capacity, check_counts, check_grid, check_seed, euclidean_fronthaul
+from .model import GridSpec, Instance, check_capacity, check_counts, check_grid, check_number, check_seed, euclidean_fronthaul
 
 LAYOUTS = ("random", "grid")
 WORKLOAD_MODELS = ("uniform", "gravity")
@@ -59,10 +60,10 @@ class GenSpec:
         if self.workload_model == "uniform" and self.layout != "random":
             raise ValueError("a uniform workload needs the random layout")
         if self.workload_model == "gravity":
-            if self.corr_length is None or not self.corr_length > 0:
+            if self.corr_length is None or not check_number("corr_length", self.corr_length) > 0:
                 raise ValueError("gravity model needs corr_length > 0 (math.inf allowed)")
-            if not self.activity_sigma > 0:
-                raise ValueError("activity_sigma must be positive")
+            if not 0 < check_number("activity_sigma", self.activity_sigma) < math.inf:
+                raise ValueError("activity_sigma must be positive and finite")
         check_seed(self.seed)
 
 

@@ -54,11 +54,9 @@ class SweepSpec:
                 raise ValueError(f"{name} must be a sequence, got {values!r}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat an entry, got {values!r}")
-        object.__setattr__(self, "capacities", tuple(map(float, self.capacities)))  # written as floats
+        object.__setattr__(self, "capacities", tuple(map(check_capacity, self.capacities)))  # written as floats
         if not self.capacities or not self.algorithms:
             raise ValueError("a sweep needs at least one capacity and one algorithm")
-        for c in self.capacities:
-            check_capacity(c)
         for name in ("n_location_sets", "n_initials", "master_seed"):
             check_integer(name, getattr(self, name))
         if self.n_location_sets < 1 or self.n_initials < 1:

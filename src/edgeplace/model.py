@@ -13,6 +13,7 @@ cell to one of them. The two objectives are:
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
@@ -55,9 +56,11 @@ class GridSpec:
         check_integer("cols", self.cols)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
-        if not 0 < self.cell_size < math.inf:
+        if not 0 < check_number("cell_size", self.cell_size) < math.inf:
             raise ValueError("cell_size must be positive and finite")
-        if not all(math.isfinite(v) for v in self.origin):
+        if np.shape(self.origin) != (2,):
+            raise ValueError(f"origin must be a pair (x, y), got {self.origin!r}")
+        if not all(math.isfinite(check_number("origin", v)) for v in self.origin):
             raise ValueError("origin must be finite")
 
     @property
@@ -82,16 +85,16 @@ def euclidean_fronthaul(cell_coords: np.ndarray, candidate_coords: np.ndarray) -
 
 
 def check_integer(name: str, value, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an ``int``; ``error`` unless it is an ``int`` or a numpy integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an ``int``; ``error`` unless it is an ``int`` or a numpy integer (a ``bool`` is neither)."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def check_number(name: str, value) -> float:
-    """``value`` as a ``float``; ``ValueError`` unless it is a real number (not a string or ``None``)."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a ``float``; ``ValueError`` unless it is a real number (not a ``bool``, a string or ``None``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -106,10 +109,12 @@ def check_counts(n_cells: int, n_candidates: int, n_servers: int) -> None:
         raise ValueError("need n_servers <= n_cells")
 
 
-def check_capacity(capacity: float) -> None:
-    """Per-server capacity is a fraction of total demand in (0, 1]."""
+def check_capacity(capacity: float) -> float:
+    """Per-server capacity as a ``float``: a fraction of total demand in (0, 1]."""
+    capacity = check_number("capacity", capacity)
     if not 0.0 < capacity <= 1.0:
         raise ValueError("capacity must lie in (0, 1]")
+    return capacity
 
 
 def check_seed(seed: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, Instance, cellset_load, cost_of_loads
+from .model import Assignment, Instance, cellset_load, check_integer, cost_of_loads
 
 
 class OracleBudgetError(RuntimeError):
@@ -44,8 +44,17 @@ def _pareto_insert(front: list[tuple[float, float]], point: tuple[float, float])
     front.append(point)
 
 
+def check_budget(budget: int) -> int:
+    """An enumeration budget is a non-negative integer."""
+    if check_integer("budget", budget) < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
+
+
 def enumerate_assignments(instance: Instance, budget: int = 10_000_000) -> OracleResult:
-    """Exact optima and Pareto set over every feasible assignment."""
+    """Exact optima and Pareto set over every feasible assignment. ``ValueError``
+    for a bad ``budget``, ``OracleBudgetError`` for a search space larger than it."""
+    check_budget(budget)
     size = search_space_size(instance.n_candidates, instance.n_servers, instance.n_cells)
     if size > budget:
         raise OracleBudgetError(

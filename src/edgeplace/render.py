@@ -26,7 +26,7 @@ def server_palette(n: int) -> list[str]:
     return colors
 
 
-def _viewbox(instance: Instance, margin_frac: float = 0.05):
+def _viewbox(instance: Instance):
     if instance.grid is not None:
         x0, y0, x1, y1 = instance.grid.bounds()
     else:
@@ -34,7 +34,7 @@ def _viewbox(instance: Instance, margin_frac: float = 0.05):
         x0, y0 = pts.min(axis=0)
         x1, y1 = pts.max(axis=0)
     span = max(x1 - x0, y1 - y0) or 1.0
-    m = span * margin_frac
+    m = span * 0.05  # margin on each side
     return x0 - m, y0 - m, (x1 - x0) + 2 * m, (y1 - y0) + 2 * m, span
 
 
@@ -85,7 +85,6 @@ def _curve_svg(series: dict[str, list[tuple[float, float, float, float]]], ylabe
     width, height, pad = 640, 480, 60
     xs = sorted({x for pts in series.values() for x, *_ in pts})
     ymax = max(hi for pts in series.values() for *_, hi in pts) or 1.0
-    ymin = 0.0
 
     def sx(x):
         if len(xs) == 1:
@@ -93,7 +92,7 @@ def _curve_svg(series: dict[str, list[tuple[float, float, float, float]]], ylabe
         return pad + (x - xs[0]) / (xs[-1] - xs[0]) * (width - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - ymin) / (ymax - ymin) * (height - 2 * pad)
+        return height - pad - y / ymax * (height - 2 * pad)
 
     palette = server_palette(len(series))
     parts = [

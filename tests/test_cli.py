@@ -101,6 +101,7 @@ def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
         ("sweep --instance {nope} --algos FOO --out-dir {tmp}", "unknown algorithm 'FOO'"),
         ("sweep --instance {nope} --capacities 0.5,0.5 --out-dir {tmp}", "capacities must not repeat an entry"),
         ("sweep --instance {nope} --algos KMED,KMED --out-dir {tmp}", "algorithms must not repeat an entry"),
+        ("oracle --instance {nope} --budget -1", "budget must be >= 0"),
         ("gen --cells 20 --candidates 5 --servers 0 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
         ("gen --cells 20 --candidates 5 --servers 9 --capacity 0.5 --out {nope}", "need 1 <= n_servers <= n_candidates"),
         ("gen --cells 3 --candidates 5 --servers 4 --capacity 0.5 --out {nope}", "need n_servers <= n_cells"),
@@ -261,6 +262,18 @@ def test_sweep_config_source_capacity_is_usage_error(tmp_path, capsys):
     rc = main(["sweep", "--config", str(write_config(tmp_path, config)), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "takes its capacity from the sweep's capacities" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_config_origin_of_three_values_is_usage_error(tmp_path, capsys):
+    config = {
+        "source": {"n_cells": 4, "n_candidates": 2, "n_servers": 1, "layout": "grid", "workload_model": "gravity",
+                   "corr_length": 0.5, "grid": {"rows": 2, "cols": 2, "cell_size": 0.5, "origin": [0, 0, 0]}},
+        "capacities": [0.5],
+    }
+    rc = main(["sweep", "--config", str(write_config(tmp_path, config)), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "origin must be a pair" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

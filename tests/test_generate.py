@@ -71,10 +71,22 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
             uniform_spec(seed=2.5)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_gravity_needs_positive_activity_sigma(self, sigma):
         with pytest.raises(ValueError, match="activity_sigma must be positive"):
             gravity_spec(activity_sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"capacity": "0.1"}, "capacity must be a number, got '0.1'"),
+            ({"corr_length": "0.1"}, "corr_length must be a number, got '0.1'"),
+            ({"activity_sigma": "1"}, "activity_sigma must be a number, got '1'"),
+        ],
+    )
+    def test_rejects_a_non_number(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            gravity_spec(**overrides)
 
 
 class TestGenUniform:

@@ -71,6 +71,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
             small_spec(**{name: 1.5})
 
+    @pytest.mark.parametrize("name", ["n_location_sets", "n_initials", "master_seed"])
+    def test_rejects_a_bool_count_or_seed(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+            small_spec(**{name: True})
+
+    def test_rejects_a_capacity_that_is_not_a_number(self):
+        # Not read as 0.5: a capacity is a number, as for GenSpec and Instance.
+        with pytest.raises(ValueError, match="capacity must be a number, got '0.5'"):
+            small_spec(capacities=("0.5",))
+
     @pytest.mark.parametrize(
         "overrides, match",
         [
@@ -108,7 +118,7 @@ class TestJobs:
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(small_spec(), jobs=jobs)
 
-    @pytest.mark.parametrize("jobs", [1.5, "2"])
+    @pytest.mark.parametrize("jobs", [1.5, "2", True])
     def test_rejects_a_non_integer(self, jobs):
         # Rejected before the instance is built or a worker is started.
         with pytest.raises(ValueError, match=f"jobs must be an integer, got {jobs!r}"):

@@ -89,6 +89,8 @@ class TestInstanceConstruction:
             ("fronthaul", [[0.0], [-math.inf]], "fronthaul entries must be finite"),
             ("grid", GridSpec(1, 3, 1.0), r"grid rows\*cols must equal n_cells"),
             ("n_servers", 1.5, "n_servers must be an integer, got 1.5"),
+            ("n_servers", True, "n_servers must be an integer, got True"),
+            ("capacity", "0.5", "capacity must be a number, got '0.5'"),
         ],
     )
     def test_rejects_malformed_field(self, field, value, message):
@@ -390,6 +392,10 @@ def test_grid_spec_centers_and_bounds():
         (0, 2, 0.1),
         (2.5, 2, 1.0),
         (2, 2.0, 1.0),
+        (True, 1, 0.1),
+        (2, 2, "0.1"),
+        (2, 2, 0.1, ("0", "0")),
+        (2, 2, 0.1, (0, 0, 0)),
     ],
 )
 def test_grid_spec_rejects_bad_values(args):

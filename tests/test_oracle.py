@@ -46,6 +46,17 @@ def test_budget_guard_is_explicit():
         enumerate_assignments(inst, budget=1000)
 
 
+@pytest.mark.parametrize(
+    "budget, match",
+    [(-1, "budget must be >= 0, got -1"), (None, "budget must be an integer, got None"),
+     ("10", "budget must be an integer, got '10'")],
+)
+def test_rejects_a_bad_budget(budget, match):
+    inst = Instance(np.zeros((2, 2)), np.zeros((1, 2)), np.array([[0.5, 0.25], [0.25, 0.25]]), 1, 0.6)
+    with pytest.raises(ValueError, match=match):
+        enumerate_assignments(inst, budget=budget)
+
+
 def test_oracle_bounds_random_assignments():
     rng = np.random.default_rng(1)
     for _ in range(5):

@@ -52,6 +52,7 @@ class TestSolverConfig:
             ({"kappa": "x"}, "kappa must be a number, got 'x'"),
             ({"epsilon": "inf"}, "epsilon must be a number, got 'inf'"),
             ({"epsilon": None}, "epsilon must be a number, got None"),
+            ({"epsilon": True}, "epsilon must be a number, got True"),
         ],
     )
     def test_rejects_a_non_number(self, overrides, match):
@@ -64,6 +65,10 @@ class TestSolverConfig:
     def test_rejects_non_integer_seed(self):
         with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
             SolverConfig("RAND", seed=1.5)
+
+    def test_rejects_a_bool_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            SolverConfig("RAND", seed=True)
 
 
 class TestRandomAssignment:
