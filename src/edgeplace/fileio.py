@@ -74,10 +74,11 @@ def _read_text(path) -> str:
         raise ParseError(data.count(b"\n", 0, e.start) + 1, "not UTF-8 text") from None
 
 
-def _csv_rows(path, columns: tuple[str, ...], name: str):
-    """Yield ``(line_no, row)`` for every data row of a CSV file headed by
-    ``columns``; ParseError naming the line for a bad header, a wrong field
-    count or a field the csv module rejects."""
+def _csv_rows(path, columns: tuple[str, ...], types: tuple[type, ...], name: str):
+    """Yield ``(line_no, values)`` for every data row of a CSV file headed by
+    ``columns``, each field converted by its entry of ``types``; ParseError
+    naming the line for a bad header, a wrong field count, a field the csv
+    module rejects, an unreadable value or a non-finite float."""
     rows = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         header = next(rows, None)
@@ -86,7 +87,13 @@ def _csv_rows(path, columns: tuple[str, ...], name: str):
         for line_no, row in enumerate(rows, start=2):
             if len(row) != len(columns):
                 raise ParseError(line_no, f"expected {len(columns)} fields, got {len(row)}")
-            yield line_no, row
+            try:
+                values = [kind(text) for kind, text in zip(types, row)]
+            except ValueError:
+                raise ParseError(line_no, f"bad values in {row!r}") from None
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise ParseError(line_no, f"non-finite value in {row!r}")
+            yield line_no, values
     except csv.Error as e:
         raise ParseError(rows.line_num, str(e)) from None
 
@@ -269,14 +276,9 @@ def write_assignment(assignment: Assignment, path) -> None:
 def read_assignment(path) -> Assignment:
     servers: list[int] = []
     cells: dict[int, int] = {}
-    for line_no, row in _csv_rows(path, ASSIGNMENT_COLUMNS, "assignment"):
-        kind, index, location = row
-        try:
-            index, location = int(index), int(location)
-        except ValueError:
-            raise ParseError(line_no, f"bad integers in {row!r}") from None
+    for line_no, (kind, index, location) in _csv_rows(path, ASSIGNMENT_COLUMNS, (str, int, int), "assignment"):
         if location not in _INT64:
-            raise ParseError(line_no, f"location out of range in {row!r}")
+            raise ParseError(line_no, f"location {location} out of range")
         if kind == "server":
             servers.append(location)
         elif kind == "cell":
@@ -339,15 +341,5 @@ def write_summary(aggregates: Iterable[AggregateRow], path) -> None:
 
 
 def read_report(path) -> list[RunRow]:
-    """The rows of a report CSV, each field parsed by its ``RunRow`` type;
-    ParseError naming the line of a malformed or non-finite field."""
-    out = []
-    for line_no, row in _csv_rows(path, REPORT_COLUMNS, "report"):
-        try:
-            values = [kind(text) for kind, text in zip(_REPORT_TYPES, row)]
-        except ValueError:
-            raise ParseError(line_no, f"bad values in {row!r}") from None
-        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-            raise ParseError(line_no, f"non-finite value in {row!r}")
-        out.append(RunRow(*values))
-    return out
+    """The rows of a report CSV, each field parsed by its ``RunRow`` type."""
+    return [RunRow(*values) for _, values in _csv_rows(path, REPORT_COLUMNS, _REPORT_TYPES, "report")]

@@ -67,12 +67,6 @@ class GenSpec:
         check_seed(self.seed)
 
 
-def _symmetric_from_upper(n: int, upper_values: np.ndarray) -> np.ndarray:
-    w = np.zeros((n, n))
-    w[np.triu_indices(n)] = upper_values
-    return w + np.triu(w, 1).T
-
-
 def uniform_points(rng: np.random.Generator, n: int, bounds: tuple[float, float, float, float]) -> np.ndarray:
     """``n`` points drawn uniformly in the box ``bounds = (x0, y0, x1, y1)``."""
     x0, y0, x1, y1 = bounds
@@ -108,14 +102,16 @@ def generate(spec: GenSpec) -> Instance:
         cells, bounds = rng.random((spec.n_cells, 2)), (0.0, 0.0, 1.0, 1.0)
     cands = uniform_points(rng, spec.n_candidates, bounds)
     n = spec.n_cells
+    i, j = np.triu_indices(n)
     if spec.workload_model == "uniform":
-        upper = rng.random(n * (n + 1) // 2)
+        upper = rng.random(i.size)
     else:
         activity = rng.lognormal(mean=0.0, sigma=spec.activity_sigma, size=n)
         # An infinite corr_length gives exp(-0.0) == 1.0: no decay.
         decay = np.exp(-euclidean_fronthaul(cells, cells) / spec.corr_length)
-        upper = (np.outer(activity, activity) * decay)[np.triu_indices(n)]
-    w = _symmetric_from_upper(n, upper / upper.sum())
+        upper = (np.outer(activity, activity) * decay)[i, j]
+    w = np.zeros((n, n))
+    w[i, j] = w[j, i] = upper / upper.sum()
     return Instance(cells, cands, w, spec.n_servers, spec.capacity, grid=spec.grid)
 
 

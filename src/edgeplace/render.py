@@ -38,6 +38,13 @@ def _viewbox(instance: Instance):
     return x0 - m, y0 - m, (x1 - x0) + 2 * m, (y1 - y0) + 2 * m, span
 
 
+def _document(svg_attributes: str, parts: list[str]) -> str:
+    """An SVG file: the XML declaration, then an ``svg`` element with
+    ``svg_attributes`` that holds ``parts``, one per line."""
+    head = ['<?xml version="1.0" encoding="UTF-8"?>', f'<svg xmlns="http://www.w3.org/2000/svg" {svg_attributes}>']
+    return "\n".join([*head, *parts, "</svg>"]) + "\n"
+
+
 def render_map(instance: Instance, assignment: Assignment, path) -> None:
     """Write an SVG of the assignment; cells carry class ``cell``, server
     markers class ``server``. Raises ``ValueError`` for an invalid
@@ -47,12 +54,7 @@ def render_map(instance: Instance, assignment: Assignment, path) -> None:
     palette = server_palette(len(locs))
     color_of = {l: palette[i] for i, l in enumerate(locs)}
     x0, y0, w, h, span = _viewbox(instance)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
-        f'viewBox="{x0} {y0} {w} {h}">',
-        f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="white"/>',
-    ]
+    parts = [f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="white"/>']
     if instance.grid is not None:
         s = instance.grid.cell_size
         for i in range(instance.n_cells):
@@ -75,8 +77,7 @@ def render_map(instance: Instance, assignment: Assignment, path) -> None:
             f'<circle class="server" cx="{cx}" cy="{cy}" r="{marker_r}" '
             f'fill="{color_of[l]}" stroke="black" stroke-width="{marker_r * 0.25}"/>'
         )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    Path(path).write_text(_document(f'width="640" height="640" viewBox="{x0} {y0} {w} {h}"', parts), encoding="utf-8")
 
 
 def _curve_svg(series: dict[str, list[tuple[float, float, float, float]]], ylabel: str) -> str:
@@ -96,8 +97,6 @@ def _curve_svg(series: dict[str, list[tuple[float, float, float, float]]], ylabe
 
     palette = server_palette(len(series))
     parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
@@ -123,8 +122,7 @@ def _curve_svg(series: dict[str, list[tuple[float, float, float, float]]], ylabe
             f'<text x="{width - pad + 5}" y="{pad + 16 * k}" font-size="12" fill="{color}" '
             f'text-anchor="start">{name}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(f'width="{width}" height="{height}"', parts)
 
 
 def plot_curves(aggregates: list[AggregateRow], out_dir) -> list[Path]:
