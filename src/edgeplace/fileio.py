@@ -26,7 +26,8 @@ The fronthaul section is omitted when the matrix equals the Euclidean
 distances implied by the coordinates (the reader recomputes it). Numbers are
 finite ASCII decimals and workload indices integers (one ``np.loadtxt`` call
 per section); a triple may appear once, and only blank lines may follow ``end``.
-A section or field name is matched as the whole first token of its line.
+A field name is matched as the whole first token of its line, and a section
+line holds its name and nothing else.
 
 Assignment CSV: header ``kind,index,location``; one ``server`` row per slot
 (index is the slot position) and one ``cell`` row per cell.
@@ -172,7 +173,8 @@ class _LineReader:
         converted by one ``np.loadtxt`` call. ParseError naming the first line
         with the wrong field count, a bad number or a non-finite value, else
         the end of the file if the section is cut short."""
-        self.next(section)
+        if (line := self.next(section)) != section:
+            raise ParseError(self.pos, f"a section line holds only its name, got {line!r}")
         if count is None:
             rest = self.lines[self.pos :] + ["fronthaul", "end"]
             count = min(rest.index("fronthaul"), rest.index("end"))

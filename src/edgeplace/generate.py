@@ -32,8 +32,9 @@ class GenSpec:
 
     ``corr_length`` is the distance scale of the gravity decay term
     (``math.inf`` disables decay entirely); ``activity_sigma`` is the
-    lognormal sigma of per-cell activity. ``grid`` is set exactly for the
-    grid layout. A uniform workload needs the random layout.
+    lognormal sigma of per-cell activity. Both apply only to the gravity
+    model: a uniform workload leaves them at their defaults, and needs the
+    random layout. ``grid`` is set exactly for the grid layout.
     """
 
     n_cells: int
@@ -57,8 +58,13 @@ class GenSpec:
         if (self.layout == "grid") != (self.grid is not None):
             raise ValueError("a grid is given exactly when layout is 'grid'")
         check_grid(self.grid, self.n_cells)
-        if self.workload_model == "uniform" and self.layout != "random":
-            raise ValueError("a uniform workload needs the random layout")
+        if self.workload_model == "uniform":
+            if self.layout != "random":
+                raise ValueError("a uniform workload needs the random layout")
+            if self.corr_length is not None:
+                raise ValueError(f"corr_length applies only to the gravity model, got {self.corr_length!r}")
+            if self.activity_sigma != 1.0:
+                raise ValueError(f"activity_sigma applies only to the gravity model, got {self.activity_sigma!r}")
         if self.workload_model == "gravity":
             if self.corr_length is None or not check_number("corr_length", self.corr_length) > 0:
                 raise ValueError("gravity model needs corr_length > 0 (math.inf allowed)")

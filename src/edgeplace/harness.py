@@ -48,6 +48,8 @@ class SweepSpec:
     epsilon: float = SolverConfig.epsilon
 
     def __post_init__(self):
+        if not isinstance(self.source, (GenSpec, str, os.PathLike)):
+            raise ValueError(f"source must be a GenSpec or an instance file path, got {self.source!r}")
         for name in ("capacities", "algorithms"):
             values = getattr(self, name)
             if isinstance(values, (str, numbers.Number)):

@@ -37,6 +37,15 @@ def test_gen_missing_options_is_usage_error(tmp_path, capsys):
     assert "missing generator options" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_gravity_option_on_a_uniform_workload(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    rc = main(["gen", "--cells", "10", "--candidates", "4", "--servers", "2", "--capacity", "0.5",
+               "--corr-length", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert "usage error: corr_length applies only to the gravity model, got 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_rejects_bad_jobs_as_usage_error(instance_file, tmp_path, capsys, jobs):
     rc = main(["sweep", "--instance", str(instance_file), "--jobs", jobs, "--out-dir", str(tmp_path)])

@@ -424,6 +424,14 @@ class TestSectionErrors:
         with pytest.raises(ParseError, match=f"^line {line}: "):
             self.read_edited(tmp_path, lambda lines: [new if l == old else l for l in lines])
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [("cell_coords", "cell_coords junk", 7), ("candidate_coords", "candidate_coords 1 2", 10), ("workload", "workload 7", 13)],
+    )
+    def test_section_line_holds_only_its_name(self, tmp_path, old, new, line):
+        with pytest.raises(ParseError, match=f"^line {line}: a section line holds only its name, got '{new}'$"):
+            self.read_edited(tmp_path, lambda lines: [new if l == old else l for l in lines])
+
     def test_repeated_triple_names_both_lines(self, tmp_path):
         edit = lambda lines: lines[:13] + ["0 0 0.9"] + lines[13:]  # before "0 0 0.25"
         with pytest.raises(SchemaError, match=r"^line 15: workload triple \(0, 0\) repeats line 14$"):

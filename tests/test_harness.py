@@ -105,6 +105,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=match):
             small_spec(**overrides)
 
+    @pytest.mark.parametrize("source", [3, None, b"x.txt", ["a"]], ids=["int", "None", "bytes", "list"])
+    def test_rejects_a_source_that_is_neither_a_spec_nor_a_path(self, source):
+        with pytest.raises(ValueError, match=r"^source must be a GenSpec or an instance file path, got "):
+            SweepSpec(source)
+
     def test_full_capacity_sweeps(self):
         # Same capacity domain as Instance: (0, 1], so 1.0 is allowed.
         rep = run_sweep(small_spec(capacities=(1.0,), n_location_sets=1, n_initials=1))

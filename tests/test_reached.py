@@ -1,4 +1,5 @@
-"""Every module-level name in the library is reached by something that needs it.
+"""Every module-level name, method and property in the library is reached by
+something that needs it.
 
 A name counts as reached when one of these refers to it: library code outside
 the name's own definition, ``perfbench/`` (which also looks names up by
@@ -18,15 +19,22 @@ LIBRARY = sorted((ROOT / "src" / "edgeplace").glob("*.py"))
 OUTSIDE = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
-def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Each module-level name bound by a function, class or assignment, with its statement."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module) -> dict[str, tuple[str, ast.stmt]]:
+    """Each module-level name bound by a function, class or assignment, and
+    each method or property of a module-level class (labelled
+    ``Class.name``), as ``label: (name, statement)``."""
     out = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out[node.name] = node
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            out[node.name] = (node.name, node)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out.update((n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            out.update((n.id, (n.id, node)) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{m.name}", (m.name, m)) for m in node.body if isinstance(m, FUNCTIONS))
     return out
 
 
@@ -47,18 +55,18 @@ def references(node: ast.AST, strings: bool = False) -> Counter:
 
 
 def unreached(library: dict[str, str], outside: list[str], exported) -> list[str]:
-    """``<module>: <name>`` for each module-level name of the ``library``
-    sources (by module name) that neither other library code, the
-    ``outside`` sources nor the ``exported`` names refer to."""
+    """``<module>: <label>`` for each definition of the ``library`` sources
+    (by module name) that neither other library code, the ``outside`` sources
+    nor the ``exported`` names refer to."""
     trees = {module: ast.parse(source) for module, source in library.items()}
     inside = sum(map(references, trees.values()), Counter())
     elsewhere = sum((references(ast.parse(source), strings=True) for source in outside), Counter())
     found = []
     for module, tree in trees.items():
-        for name, node in definitions(tree).items():
+        for label, (name, node) in definitions(tree).items():
             own = references(node)[name]
             if not (name.startswith("__") or name in exported or elsewhere[name] or inside[name] > own):
-                found.append(f"{module}: {name}")
+                found.append(f"{module}: {label}")
     return found
 
 
@@ -66,9 +74,20 @@ def test_guard_finds_an_orphan():
     library = {
         "a.py": "LIMIT = 3\n\ndef used():\n    return helper()\n\ndef helper():\n    return 1\n",
         "b.py": "def orphan(n):\n    return orphan(n - 1) if n else 0\n\nclass Exported:\n    pass\n",
+        "c.py": (
+            "class Box:\n    def __init__(self):\n        self.n = self.size()\n\n"
+            "    def size(self):\n        return 1\n\n"
+            "    @property\n    def spare(self):\n        return self.spare\n\n"
+            "    def orphan_method(self, n):\n        return self.orphan_method(n - 1) if n else 0\n"
+        ),
     }
-    outside = ["from a import used\n"]
-    assert unreached(library, outside, exported={"Exported"}) == ["a.py: LIMIT", "b.py: orphan"]
+    outside = ["from a import used\nfrom c import Box\n"]
+    assert unreached(library, outside, exported={"Exported"}) == [
+        "a.py: LIMIT",
+        "b.py: orphan",
+        "c.py: Box.spare",
+        "c.py: Box.orphan_method",
+    ]
 
 
 def test_every_library_name_is_reached():
