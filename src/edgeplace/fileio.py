@@ -167,14 +167,17 @@ class _LineReader:
         self.pos += 1  # now the 1-based number of the line just read
         return self.lines[self.pos - 1]
 
+    def section(self, name: str) -> None:
+        if (line := self.next(name)) != name:
+            raise ParseError(self.pos, f"a section line holds only its name, got {line!r}")
+
     def rows(self, section: str, count: int | None, dtype: np.dtype) -> np.ndarray:
         """The ``section`` line, then the next ``count`` lines (``None``: up to
         a ``fronthaul`` or ``end`` line) as one ``dtype`` record each,
         converted by one ``np.loadtxt`` call. ParseError naming the first line
         with the wrong field count, a bad number or a non-finite value, else
         the end of the file if the section is cut short."""
-        if (line := self.next(section)) != section:
-            raise ParseError(self.pos, f"a section line holds only its name, got {line!r}")
+        self.section(section)
         if count is None:
             rest = self.lines[self.pos :] + ["fronthaul", "end"]
             count = min(rest.index("fronthaul"), rest.index("end"))
@@ -241,7 +244,7 @@ def read_instance(path) -> Instance:
     triples = r.rows("workload", None, _TRIPLE)
     first = r.pos - len(triples) + 1
     fronthaul = r.floats("fronthaul", n_cells, n_candidates) if r.at("fronthaul") else None
-    r.next("end")
+    r.section("end")
     extra = next((k for k in range(r.pos, len(r.lines)) if r.lines[k]), None)
     if extra is not None:
         raise ParseError(extra + 1, f"content after 'end': {r.lines[extra]!r}")

@@ -426,7 +426,12 @@ class TestSectionErrors:
 
     @pytest.mark.parametrize(
         "old, new, line",
-        [("cell_coords", "cell_coords junk", 7), ("candidate_coords", "candidate_coords 1 2", 10), ("workload", "workload 7", 13)],
+        [
+            ("cell_coords", "cell_coords junk", 7),
+            ("candidate_coords", "candidate_coords 1 2", 10),
+            ("workload", "workload 7", 13),
+            ("end", "end junk", 20),  # after a fronthaul section; after the workload it is a bad workload line
+        ],
     )
     def test_section_line_holds_only_its_name(self, tmp_path, old, new, line):
         with pytest.raises(ParseError, match=f"^line {line}: a section line holds only its name, got '{new}'$"):
