@@ -37,15 +37,6 @@ def test_gen_missing_options_is_usage_error(tmp_path, capsys):
     assert "missing generator options" in capsys.readouterr().err
 
 
-def test_gen_rejects_a_gravity_option_on_a_uniform_workload(tmp_path, capsys):
-    out = tmp_path / "x.txt"
-    rc = main(["gen", "--cells", "10", "--candidates", "4", "--servers", "2", "--capacity", "0.5",
-               "--corr-length", "0.1", "--out", str(out)])
-    assert rc == 1
-    assert "usage error: corr_length applies only to the gravity model, got 0.1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_rejects_bad_jobs_as_usage_error(instance_file, tmp_path, capsys, jobs):
     rc = main(["sweep", "--instance", str(instance_file), "--jobs", jobs, "--out-dir", str(tmp_path)])
@@ -119,6 +110,8 @@ def test_sweep_rejects_bad_kappa_before_reading_instance(tmp_path, capsys):
          "--cells 4 --candidates 2 --servers 1 --capacity 0.5 --out {nope}", "a uniform workload needs the random layout"),
         ("gen --cells 6 --candidates 3 --servers 2 --capacity 0.5 --grid-rows 2 --grid-cols 3 --grid-cell-size 0.5 "
          "--out {nope}", "a grid is given exactly when layout is 'grid'"),
+        ("gen --cells 10 --candidates 4 --servers 2 --capacity 0.5 --corr-length 0.1 --out {nope}",
+         "corr_length applies only to the gravity model, got 0.1"),
     ],
 )
 def test_bad_parameter_is_usage_error(tmp_path, capsys, command, message):

@@ -88,17 +88,14 @@ class TestGenSpec:
         with pytest.raises(ValueError, match=match):
             gravity_spec(**overrides)
 
-    def test_uniform_rejects_gravity_parameters_it_would_ignore(self):
-        with pytest.raises(ValueError, match="^corr_length applies only to the gravity model, got 'x'$"):
-            GenSpec(20, 5, 2, 0.3, corr_length="x", activity_sigma=None)
-
     @pytest.mark.parametrize(
         "overrides, match",
         [
+            ({"corr_length": "x", "activity_sigma": None}, "^corr_length applies only to the gravity model, got 'x'$"),
             ({"corr_length": 0.1}, "^corr_length applies only to the gravity model, got 0.1$"),
             ({"activity_sigma": 0.5}, "^activity_sigma applies only to the gravity model, got 0.5$"),
         ],
-        ids=["corr_length", "activity_sigma"],
+        ids=["both", "corr_length", "activity_sigma"],
     )
     def test_uniform_rejects_a_gravity_parameter(self, overrides, match):
         with pytest.raises(ValueError, match=match):
