@@ -30,7 +30,8 @@ A field name is matched as the whole first token of its line, and a section
 line holds its name and nothing else.
 
 Assignment CSV: header ``kind,index,location``; one ``server`` row per slot
-(index is the slot position) and one ``cell`` row per cell.
+(index is the slot position: 0..k-1 in file order) and one ``cell`` row per
+cell.
 
 Sweep CSVs: each header is its record type's field names, in order. The
 report (``runs.csv``) has one ``RunRow`` per run, ``wall_ms`` to three
@@ -285,6 +286,8 @@ def read_assignment(path) -> Assignment:
         if location not in _INT64:
             raise ParseError(line_no, f"location {location} out of range")
         if kind == "server":
+            if index != len(servers):
+                raise ParseError(line_no, f"server slot {index} out of order; expected {len(servers)}")
             servers.append(location)
         elif kind == "cell":
             cells[index] = location

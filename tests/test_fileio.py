@@ -193,6 +193,23 @@ class TestAssignmentRoundTrip:
         with pytest.raises(ParseError, match="header"):
             read_assignment(p)
 
+    @pytest.mark.parametrize(
+        "servers, line",
+        [
+            ("server,7,1\nserver,7,0", 2),
+            ("server,1,1\nserver,0,0", 2),
+            ("server,0,1\nserver,0,0", 3),
+            ("server,0,1\nserver,2,0", 3),
+            ("server,-1,1", 2),
+        ],
+        ids=["repeated", "descending", "first-repeated", "skipped", "negative"],
+    )
+    def test_server_slot_out_of_order_names_line(self, tmp_path, servers, line):
+        p = tmp_path / "a.csv"
+        p.write_text(f"kind,index,location\n{servers}\ncell,0,1\ncell,1,0\n")
+        with pytest.raises(ParseError, match=f"^line {line}: server slot"):
+            read_assignment(p)
+
     def test_missing_cell_is_schema_error(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("kind,index,location\nserver,0,1\ncell,0,1\ncell,2,1\n")
