@@ -329,7 +329,7 @@ def reference_move_cells(instance, assignment, l0, l1, stats=None):
 
 # ---------------------------------------------------------------------------
 # Pre-batching KMED swap search, kept verbatim as the bit-exact reference for
-# the one-array-op-per-closing-location scan in edgeplace.kmedian.
+# the filtered scan in edgeplace.kmedian.
 
 
 def _nearest_spread(instance: Instance, cols: np.ndarray) -> float:
